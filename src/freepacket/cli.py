@@ -42,6 +42,8 @@ from .evolution import (
 from .numerics import ComplexField, Grid, PhysicsParams, to_momentum
 from .observables import moments, spread_law_from_state, spread_prediction
 from .packets import (
+    DERIVATIVE_MAX_ORDER,
+    HERMITE_GAUSS_MAX_ORDER,
     GaussianFamily,
     SquareFamily,
     derivative_packet,
@@ -220,7 +222,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
     if take("family.n"):
         value, where = take("family.n")
         order = _parse_int(value, where)
-        limit = 16 if family == "derivative" else 64
+        limit = DERIVATIVE_MAX_ORDER if family == "derivative" else HERMITE_GAUSS_MAX_ORDER
         if order < 0 or order > limit:
             raise ConfigError(f"{where}: order for family {family} must be in [0, {limit}]")
         family_order = order
@@ -251,13 +253,12 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
     unit = mass * a**2 / hbar if family == "square" else tau
     if take("times"):
         value, where = take("times")
-        try:
-            scaled = tuple(float(part) for part in value.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"{where}: expected comma-separated numbers") from None
+        scaled = tuple(_parse_float(part, where) for part in value.split(",") if part.strip())
         if not scaled:
             raise ConfigError(f"{where}: time list must be nonempty")
         times = tuple(v * unit for v in scaled)
+        if not all(math.isfinite(v) for v in times):
+            raise ConfigError(f"{where}: times in absolute units must be finite, got {times}")
     else:
         times = tuple(v * unit for v in _PRESET_TIMES[scenario])
 
@@ -549,7 +550,7 @@ def main(argv=None) -> int:
 
     try:
         return run_scenario(cfg)
-    except (OSError, ValueError, FloatingPointError) as err:
+    except (OSError, ValueError, ArithmeticError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

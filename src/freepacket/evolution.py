@@ -2,7 +2,11 @@
 
 The spectral propagator is exact up to discretization (multiply the momentum
 wave function by exp(-i p^2 t / 2 m hbar)); the direct quadrature propagator
-is its deliberately independent O(N^2) oracle.  The short-time translation
+is its deliberately independent O(N^2) oracle.  On the uniform grid the free
+kernel exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the
+quadrature is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps,
+N^2 complex multiply-adds, O(N) memory and no FFT.  The asymptotic form is
+the same sum (see asymptotic_form).  The short-time translation
 and the large-time asymptotic form come with the rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
@@ -27,6 +31,7 @@ import numpy as np
 
 from .numerics import (
     ComplexField,
+    Grid,
     PhysicsParams,
     Representation,
     from_momentum,
@@ -43,10 +48,6 @@ __all__ = [
     "asymptotic_form",
     "asymptotic_error_bound",
 ]
-
-# Cap on scratch size for the O(N^2) kernels: rows per chunk are sized so a
-# chunk holds at most ~4M complex doubles (64 MB).
-_CHUNK_ELEMENTS = 4_000_000
 
 
 class Method(Enum):
@@ -87,11 +88,27 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     return PropagationResult(out, t, Method.SPECTRAL_EXACT)
 
 
-def _trapezoid_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _free_kernel_sum(
+    values: np.ndarray, grid: Grid, t: float, params: PhysicsParams
+) -> np.ndarray:
+    """Trapezoidal sum_k K(x_j - x_k, t) values_k step with the free kernel K.
+
+    K(x_j - x_k) = sqrt(m / 2 pi i hbar t) c_{j-k} with the chirp
+    c_d = exp(i a d^2 / 2), a = m step^2 / hbar t, so the sum is a direct
+    Toeplitz convolution against the 2N-1 chirp values (no FFT).
+    """
+    m, hbar = params.mass, params.hbar
+    n = grid.n
+    weighted = grid.step * values
+    weighted[[0, -1]] *= 0.5
+    # Subnormal samples (the far tails of closed-form packets) make every
+    # multiply-add they enter several times slower; below the smallest normal
+    # double they cannot change a sum of normal terms, so drop them.
+    weighted[np.abs(weighted) < np.finfo(float).tiny] = 0
+    a = m * grid.step**2 / (hbar * t)
+    d = np.arange(1 - n, n)
+    chirp = np.exp(0.5j * a * (d * d))
+    return np.sqrt(m / (2j * np.pi * hbar * t)) * np.convolve(weighted, chirp, mode="valid")
 
 
 def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) -> PropagationResult:
@@ -107,21 +124,7 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     _require_position(psi0, "propagate_quadrature")
     if t == 0:
         raise ValueError("propagate_quadrature: kernel is singular at t = 0 (identity)")
-    m, hbar = params.mass, params.hbar
-    x = psi0.grid.points
-    weighted = _trapezoid_weights(psi0.grid.n, psi0.grid.step) * psi0.values
-    nz = np.flatnonzero(weighted)
-    if nz.size == 0:
-        out = ComplexField(np.zeros_like(psi0.values), psi0.grid)
-        return PropagationResult(out, t, Method.QUADRATURE)
-    xs, vals = x[nz], weighted[nz]
-    prefactor = np.sqrt(m / (2j * np.pi * hbar * t))
-    out_values = np.empty(psi0.grid.n, dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // xs.size)
-    for start in range(0, psi0.grid.n, rows):
-        block = x[start : start + rows, None] - xs[None, :]
-        out_values[start : start + rows] = np.exp(1j * m * block**2 / (2 * hbar * t)) @ vals
-    out = ComplexField(prefactor * out_values, psi0.grid)
+    out = ComplexField(_free_kernel_sum(psi0.values, psi0.grid, t, params), psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
 
 
@@ -173,19 +176,6 @@ def short_time_error_bound(delta_p: float, t: float, params: PhysicsParams) -> f
     return math.sqrt(t / (np.pi * m * hbar**3)) * delta_p**2
 
 
-def _continuous_ft_at(
-    values: np.ndarray, x: np.ndarray, step: float, p_targets: np.ndarray, hbar: float
-) -> np.ndarray:
-    """Trapezoidal continuous transform of grid samples at arbitrary momenta."""
-    weighted = _trapezoid_weights(values.size, step) * values
-    out = np.empty(p_targets.size, dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // values.size)
-    for start in range(0, p_targets.size, rows):
-        phase = np.exp(-1j * np.outer(p_targets[start : start + rows], x) / hbar)
-        out[start : start + rows] = phase @ weighted
-    return out / math.sqrt(2 * np.pi * hbar)
-
-
 def asymptotic_form(
     phi0: ComplexField, xbar: float, t: float, params: PhysicsParams
 ) -> PropagationResult:
@@ -193,9 +183,13 @@ def asymptotic_form(
 
     phi0 is evaluated off-lattice by band-limited interpolation: the momentum
     samples are transformed back to the position grid and the continuous
-    transform is re-evaluated at the required momenta m(x - xbar)/t.  The
-    resulting density is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for
-    |t| >> 2 m Dx^2 / hbar; t = 0 is rejected.
+    transform is re-evaluated at the required momenta m(x - xbar)/t.  Since
+    -(x - xbar) x' = [(x - x')^2 - x^2 - x'^2]/2 + xbar x', that transform
+    times the phase above is the free propagator applied to
+    psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is evaluated by the
+    same Toeplitz chirp sum as propagate_quadrature.  The resulting density
+    is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for |t| >> 2 m Dx^2 / hbar;
+    t = 0 is rejected.
     """
     if phi0.representation is not Representation.MOMENTUM:
         raise ValueError("asymptotic_form expects a momentum-representation field")
@@ -203,13 +197,10 @@ def asymptotic_form(
         raise ValueError("asymptotic_form requires t != 0")
     if phi0.hbar != params.hbar:
         raise ValueError("phi0 momentum lattice hbar does not match params.hbar")
-    m, hbar = params.mass, params.hbar
     grid = phi0.grid
-    x = grid.points
-    psi0 = from_momentum(phi0, params)
-    p_targets = m * (x - xbar) / t
-    phi_at = _continuous_ft_at(psi0.values, x, grid.step, p_targets, hbar)
-    values = np.sqrt(m / (1j * t)) * np.exp(1j * m * (x**2 - xbar**2) / (2 * hbar * t)) * phi_at
+    psi0 = from_momentum(phi0, params).values
+    chirped = np.exp(-1j * params.mass * (grid.points - xbar) ** 2 / (2 * params.hbar * t)) * psi0
+    values = _free_kernel_sum(chirped, grid, t, params)
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 
 

@@ -89,6 +89,11 @@ def test_times_must_be_nonempty():
         parse_config("times = ,")
 
 
+def test_times_must_be_finite_after_scaling():
+    with pytest.raises(ConfigError, match="times"):
+        parse_config("family.tau = 10\ntimes = 1e308")
+
+
 def test_bad_number_reports_field():
     with pytest.raises(ConfigError, match="physics.hbar"):
         parse_config("physics.hbar = banana")
@@ -304,3 +309,18 @@ def test_main_unwritable_output_exits_two(tmp_path, capsys):
     blocker.write_text("file, not a directory")
     assert main(["--scenario", "fig4", "--out", str(blocker)]) == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "times, status, message",
+    [
+        ("inf, 1", EXIT_CONFIG, "config error"),
+        ("nan", EXIT_CONFIG, "config error"),
+        ("1e308", EXIT_RUNTIME, "runtime error"),
+    ],
+)
+def test_main_nonfinite_or_overflowing_times(tmp_path, capsys, times, status, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"times = {times}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == status
+    assert message in capsys.readouterr().err

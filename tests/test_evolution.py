@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import freepacket.evolution
 from freepacket import (
     ComplexField,
     Grid,
     Method,
+    PhysicsParams,
     Representation,
     SquareFamily,
     asymptotic_error_bound,
@@ -106,6 +109,55 @@ def test_quadrature_square_matches_fresnel_interior(params):
     exact = square_exact(fam, grid.points, 0.05)
     interior = np.abs(grid.points) <= 1.6
     assert np.max(np.abs(out.values - exact)[interior]) < 1e-6
+
+
+# A non-centred power-of-two grid (x0 != -n step / 2), unequal hbar and mass,
+# and a moving off-centre packet still at 1e-3 of its peak on the grid edges
+# (so the end weights count): the kernel tests below compare the Toeplitz
+# sums against the N^2 sums written out from their definitions.
+KERNEL_PARAMS = PhysicsParams(hbar=0.7, mass=1.3)
+KERNEL_GRID = Grid(x0=-5.3, step=0.05, n=256)
+
+
+def kernel_packet():
+    x = KERNEL_GRID.points
+    return ComplexField(np.exp(-((x - 1.1) ** 2) / 6 + 2.0j * x), KERNEL_GRID)
+
+
+def trapezoid_weighted(values):
+    weighted = KERNEL_GRID.step * values
+    weighted[[0, -1]] *= 0.5
+    return weighted
+
+
+@pytest.mark.parametrize("t", [0.9, -0.9])
+def test_quadrature_matches_brute_force_sum(t):
+    m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar
+    f = kernel_packet()
+    x = KERNEL_GRID.points
+    kernel = np.sqrt(m / (2j * np.pi * hbar * t)) * np.exp(
+        1j * m * (x[:, None] - x[None, :]) ** 2 / (2 * hbar * t)
+    )
+    expected = kernel @ trapezoid_weighted(f.values)
+    out = propagate_quadrature(f, t, KERNEL_PARAMS).field.values
+    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) < 1e-12
+
+
+def test_quadrature_never_calls_a_transform(monkeypatch):
+    f = kernel_packet()
+    expected = propagate_quadrature(f, -0.9, KERNEL_PARAMS).field.values
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature oracle called a transform")
+
+    for module in (np.fft, scipy.fft):
+        for name in module.__all__:
+            if callable(getattr(module, name)):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(freepacket.evolution, "to_momentum", refuse)
+    monkeypatch.setattr(freepacket.evolution, "from_momentum", refuse)
+    out = propagate_quadrature(f, -0.9, KERNEL_PARAMS).field.values
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_quadrature_rejects_t_zero(gauss_fam, grid, params):
@@ -226,6 +278,26 @@ def test_asymptotic_density_normalized(gauss_fam, params):
     phi0 = to_momentum(f, params)
     out = asymptotic_form(phi0, 0.0, 20.0, params).field
     assert quadrature_norm2(out) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [2.5, -2.5])
+def test_asymptotic_matches_brute_force_transform(t):
+    # sqrt(m/it) exp[i m (x^2 - xbar^2)/2 hbar t] phi0(p) at p = m (x - xbar)/t,
+    # with phi0 the trapezoidal continuous transform of psi0
+    m, hbar, xbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar, 0.4
+    f = kernel_packet()
+    x = KERNEL_GRID.points
+    p = m * (x - xbar) / t
+    phi_at = np.exp(-1j * np.outer(p, x) / hbar) @ trapezoid_weighted(f.values)
+    expected = (
+        np.sqrt(m / (1j * t))
+        * np.exp(1j * m * (x**2 - xbar**2) / (2 * hbar * t))
+        * phi_at
+        / np.sqrt(2 * np.pi * hbar)
+    )
+    phi0 = to_momentum(f, KERNEL_PARAMS)
+    out = asymptotic_form(phi0, xbar, t, KERNEL_PARAMS).field.values
+    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) < 1e-12
 
 
 def test_asymptotic_rejects_t_zero(gauss_fam, grid, params):

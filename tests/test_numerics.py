@@ -203,10 +203,10 @@ def test_to_momentum_rejects_momentum_input(grid, params):
 
 
 @given(
-    ar=st.floats(-2, 2),
-    ai=st.floats(-2, 2),
-    br=st.floats(-2, 2),
-    bi=st.floats(-2, 2),
+    ar=st.floats(-2, 2, allow_subnormal=False),
+    ai=st.floats(-2, 2, allow_subnormal=False),
+    br=st.floats(-2, 2, allow_subnormal=False),
+    bi=st.floats(-2, 2, allow_subnormal=False),
 )
 @settings(max_examples=25, deadline=None)
 def test_to_momentum_linearity(grid, params, ar, ai, br, bi):
