@@ -397,7 +397,6 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     )
     x = grid.points
     evaluate = _family_evaluator(cfg)
-    rescaled = cfg.scenario in ("fig2", "fig4")
 
     if cfg.scenario in ("spread-law", "bounds"):
         return _run_measurement_scenario(cfg, grid, evaluate, out_dir)
@@ -405,22 +404,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     delta_x0 = _initial_spread(cfg)
     summary_rows = []
     for index, t in enumerate(cfg.times):
-        values = np.asarray(evaluate(x, t), dtype=complex)
-        density = np.abs(values) ** 2
-        header = ["x", "re_psi", "im_psi", "density"]
-        columns = [x, values.real, values.imag, density]
-        if rescaled:
-            header += ["x_over_t", "t_times_density"]
-            columns += [x / t, t * density]
-        rows = [[col[j] for col in columns] for j in range(grid.n)]
-        _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", header, rows)
-        if "svg" in cfg.formats:
-            _write_svg(
-                out_dir / f"{cfg.scenario}_t{index}.svg",
-                x,
-                density,
-                f"{cfg.scenario}: density at t = {_fmt(t)}",
-            )
+        # ComplexField rejects non-finite samples before any reach a CSV
+        field = ComplexField(evaluate(x, t), grid)
+        _write_slice(cfg, out_dir, index, x, field.values, t)
 
         if cfg.family == "square" and t != 0:
             # Dp is infinite for the square packet and Dx exists only at the
@@ -429,7 +415,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             delta_p = math.inf
         else:
             try:
-                m = moments(ComplexField(values, grid), params)
+                m = moments(field, params)
                 mean_x, mean_r = m.mean_x, m.mean_r
                 delta_x, delta_p = m.delta_x, m.delta_p
             except ValueError:
@@ -448,6 +434,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
 def _run_measurement_scenario(cfg: ScenarioConfig, grid: Grid, evaluate, out_dir: Path) -> int:
     params = cfg.params
+    x = grid.points
     psi0 = sample(evaluate, grid, 0.0)
     m0 = moments(psi0, params)
 
@@ -456,7 +443,7 @@ def _run_measurement_scenario(cfg: ScenarioConfig, grid: Grid, evaluate, out_dir
         rows = []
         for index, t in enumerate(cfg.times):
             evolved = propagate_spectral(psi0, t, params).field
-            _write_slice(cfg, out_dir, index, evolved, t)
+            _write_slice(cfg, out_dir, index, x, evolved.values, t)
             measured = moments(evolved, params)
             predicted = spread_prediction(law, params, t)
             gap = abs(measured.delta_x - predicted) / predicted
@@ -475,7 +462,7 @@ def _run_measurement_scenario(cfg: ScenarioConfig, grid: Grid, evaluate, out_dir
     rows = []
     for index, t in enumerate(cfg.times):
         exact = propagate_spectral(psi0, t, params).field
-        _write_slice(cfg, out_dir, index, exact, t)
+        _write_slice(cfg, out_dir, index, x, exact.values, t)
         translated = short_time_approx(psi0, t, params, pbar=m0.mean_p).field
         short_sup = float(np.max(np.abs(exact.values - translated.values) ** 2))
         short_bound = (
@@ -499,13 +486,18 @@ def _run_measurement_scenario(cfg: ScenarioConfig, grid: Grid, evaluate, out_dir
     return EXIT_OK
 
 
-def _write_slice(cfg: ScenarioConfig, out_dir: Path, index: int, field: ComplexField, t: float):
-    x = field.grid.points
-    density = np.abs(field.values) ** 2
-    rows = [
-        [x[j], field.values[j].real, field.values[j].imag, density[j]] for j in range(field.grid.n)
-    ]
-    _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", ["x", "re_psi", "im_psi", "density"], rows)
+def _write_slice(
+    cfg: ScenarioConfig, out_dir: Path, index: int, x: np.ndarray, values: np.ndarray, t: float
+):
+    """One time slice as CSV (plus the rescaled pair for fig2/fig4) and optional SVG."""
+    density = np.abs(values) ** 2
+    header = ["x", "re_psi", "im_psi", "density"]
+    columns = [x, values.real, values.imag, density]
+    if cfg.scenario in ("fig2", "fig4"):
+        header += ["x_over_t", "t_times_density"]
+        columns += [x / t, t * density]
+    rows = [[col[j] for col in columns] for j in range(len(x))]
+    _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", header, rows)
     if "svg" in cfg.formats:
         _write_svg(
             out_dir / f"{cfg.scenario}_t{index}.svg",

@@ -1,12 +1,13 @@
 """Free-particle propagators, the two analytic approximations, and their bounds.
 
 The spectral propagator is exact up to discretization (multiply the momentum
-wave function by exp(-i p^2 t / 2 m hbar)); the direct quadrature propagator
-is its deliberately independent O(N^2) oracle.  On the uniform grid the free
-kernel exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the
-quadrature is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps,
-N^2 complex multiply-adds, O(N) memory and no FFT.  The asymptotic form is
-the same sum (see asymptotic_form).  The short-time translation
+wave function by exp(-i p^2 t / 2 m hbar), one FFT pair with the momenta in
+FFT order); the direct quadrature propagator is its deliberately independent
+O(N^2) oracle.  On the uniform grid the free kernel
+exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the quadrature
+is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps, N^2 complex
+multiply-adds, O(N) memory and no FFT.  The asymptotic form is the same sum
+(see asymptotic_form).  The short-time translation, also one FFT pair,
 and the large-time asymptotic form come with the rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
@@ -34,8 +35,8 @@ from .numerics import (
     Grid,
     PhysicsParams,
     Representation,
+    _spectral_apply,
     from_momentum,
-    to_momentum,
 )
 
 __all__ = [
@@ -79,13 +80,9 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     if t == 0:
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SPECTRAL_EXACT)
-    phi = to_momentum(psi0, params)
-    p = psi0.grid.momentum_points(params.hbar)
-    evolved = phi.values * np.exp(-1j * p**2 * t / (2 * params.mass * params.hbar))
-    out = from_momentum(
-        ComplexField(evolved, psi0.grid, Representation.MOMENTUM, hbar=params.hbar), params
-    )
-    return PropagationResult(out, t, Method.SPECTRAL_EXACT)
+    m, hbar = params.mass, params.hbar
+    values = _spectral_apply(psi0, hbar, lambda p: np.exp(-1j * p**2 * t / (2 * m * hbar)))
+    return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
 def _free_kernel_sum(
@@ -150,13 +147,8 @@ def short_time_approx(
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
     m, hbar = params.mass, params.hbar
     shift = pbar * t / m
-    phi = to_momentum(psi0, params)
-    p = psi0.grid.momentum_points(hbar)
-    shifted = phi.values * np.exp(-1j * p * shift / hbar)
-    psi = from_momentum(
-        ComplexField(shifted, psi0.grid, Representation.MOMENTUM, hbar=hbar), params
-    )
-    values = np.exp(1j * pbar**2 * t / (2 * m * hbar)) * psi.values
+    psi = _spectral_apply(psi0, hbar, lambda p: np.exp(-1j * p * shift / hbar))
+    values = np.exp(1j * pbar**2 * t / (2 * m * hbar)) * psi
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 

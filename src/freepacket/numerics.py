@@ -8,7 +8,9 @@ approximates the *continuous* hbar-scaled transform
 
     phi(p) = (2 pi hbar)^(-1/2) integral exp(-i p x / hbar) psi(x) dx
 
-rather than the bare DFT.
+rather than the bare DFT.  The corrections cancel around any operator that
+is diagonal in momentum (free evolution, translation, derivatives), so those
+are applied as one bare FFT pair with the momenta in FFT order.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ class PhysicsParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not 0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,10 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"grid origin must be finite, got {self.x0}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"grid step must be positive and finite, got {self.step}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
 
@@ -119,6 +123,8 @@ class ComplexField:
             raise ValueError(
                 f"field has {values.shape} values for a grid of {self.grid.n} points"
             )
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
         if self.representation is Representation.MOMENTUM and self.hbar is None:
             raise ValueError("momentum-representation fields need hbar")
         object.__setattr__(self, "values", values)
@@ -221,10 +227,6 @@ def fresnel(u):
     return c, s
 
 
-def _alternating(n: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.arange(n) & 1)
-
-
 def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     """Continuous-convention forward transform onto the momentum lattice.
 
@@ -237,7 +239,7 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g = f.grid
     hbar = params.hbar
     p = g.momentum_points(hbar)
-    spectrum = np.fft.fft(_alternating(g.n) * f.values)
+    spectrum = np.fft.fftshift(np.fft.fft(f.values))
     phi = g.step / math.sqrt(2 * np.pi * hbar) * np.exp(-1j * p * g.x0 / hbar) * spectrum
     return ComplexField(phi, g, Representation.MOMENTUM, hbar=hbar)
 
@@ -253,9 +255,22 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g = f.grid
     hbar = params.hbar
     p = g.momentum_points(hbar)
-    psi = np.fft.ifft(np.exp(1j * p * g.x0 / hbar) * f.values)
-    psi = math.sqrt(2 * np.pi * hbar) / g.step * _alternating(g.n) * psi
+    psi = np.fft.ifft(np.fft.ifftshift(np.exp(1j * p * g.x0 / hbar) * f.values))
+    psi = math.sqrt(2 * np.pi * hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
+
+
+def _spectral_apply(f: ComplexField, hbar: float, operator) -> np.ndarray:
+    """Position values of operator(P) psi for an operator diagonal in momentum.
+
+    One FFT pair with the centered lattice p_k in FFT order (0, dp, ...,
+    -dp).  The reordering, the phase exp(-i p x0 / hbar) and the amplitude
+    that to_momentum applies and from_momentum removes commute with any
+    momentum-diagonal multiplier, so they cancel exactly for every x0.
+    """
+    n = f.grid.n
+    p = f.grid.momentum_step(hbar) * np.fft.fftfreq(n, 1 / n)
+    return np.fft.ifft(operator(p) * np.fft.fft(f.values))
 
 
 def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
@@ -271,11 +286,7 @@ def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return ComplexField(f.values.copy(), f.grid)
-    unit = PhysicsParams(hbar=1.0, mass=1.0)
-    phi = to_momentum(f, unit)
-    k = f.grid.momentum_points(1.0)
-    deriv = ComplexField((1j * k) ** order * phi.values, f.grid, Representation.MOMENTUM, hbar=1.0)
-    return from_momentum(deriv, unit)
+    return ComplexField(_spectral_apply(f, 1.0, lambda k: (1j * k) ** order), f.grid)
 
 
 def quadrature_norm2(f: ComplexField) -> float:

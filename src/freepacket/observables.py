@@ -42,7 +42,7 @@ from .numerics import (
     ComplexField,
     PhysicsParams,
     Representation,
-    from_momentum,
+    _spectral_apply,
     quadrature_norm2,
     to_momentum,
 )
@@ -152,9 +152,7 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
         delta_x = math.nan
         mean_r = math.nan
     else:
-        p_psi = from_momentum(
-            ComplexField(p * phi.values, grid, Representation.MOMENTUM, hbar=hbar), params
-        ).values
+        p_psi = _spectral_apply(f, hbar, lambda p_fft: p_fft)
         integrand = np.conj(f.values) * (x - mean_x) * (p_psi - mean_p * f.values)
         mean_r = _trapz(integrand.real, grid.step)
         delta_x = math.sqrt(max(var_x, 0.0))

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
+    HERMITE_MAX_ORDER,
     ComplexField,
     PhysicsParams,
     Representation,
@@ -54,7 +55,7 @@ __all__ = [
     "sample",
 ]
 
-HERMITE_GAUSS_MAX_ORDER = 64
+HERMITE_GAUSS_MAX_ORDER = HERMITE_MAX_ORDER
 DERIVATIVE_MAX_ORDER = 16
 
 

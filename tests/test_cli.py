@@ -324,3 +324,13 @@ def test_main_nonfinite_or_overflowing_times(tmp_path, capsys, times, status, me
     cfg_path.write_text(f"times = {times}\noutput.dir = {tmp_path / 'out'}\n")
     assert main(["--config", str(cfg_path)]) == status
     assert message in capsys.readouterr().err
+
+
+def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
+    # 2 * 1e308 / n overflows to an infinite grid step, which Grid rejects
+    # before any slice is written
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"grid.half_width = 1e308\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
+    assert "grid step must be positive and finite" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))

@@ -7,6 +7,7 @@ import scipy.fft
 import freepacket.evolution
 from freepacket import (
     ComplexField,
+    GaussianFamily,
     Grid,
     Method,
     PhysicsParams,
@@ -16,6 +17,7 @@ from freepacket import (
     asymptotic_form,
     derivative_packet,
     derivative_packet_asymptote,
+    from_momentum,
     galilean_boost,
     gaussian_chi,
     hermite_gauss,
@@ -80,6 +82,69 @@ def test_spectral_rejects_momentum_field(gauss_fam, grid, params):
     phi = to_momentum(chi_field(gauss_fam, grid), params)
     with pytest.raises(ValueError):
         propagate_spectral(phi, 1.0, params)
+
+
+# ---------------------------------- one FFT pair vs the transform sandwich
+
+SANDWICH_PARAMS = PhysicsParams(hbar=0.7, mass=1.3)
+SANDWICH_GRIDS = {
+    "centered": Grid.centered(6.4, 256),
+    "offset": Grid.centered_offset(6.4, 256),
+    "arbitrary": Grid(x0=0.37, step=0.05, n=256),
+}
+
+
+def moving_packet(g):
+    """Boosted derivative packet at t = 0.3, complex, centred on g and decayed at its edges."""
+    fam = GaussianFamily(params=SANDWICH_PARAMS, tau=0.5)
+    center = g.x0 + g.n * g.step / 2
+
+    def resting(x, t):
+        return derivative_packet(fam, 2, x - center, t)
+
+    return sample(galilean_boost(resting, 1.5, 0.0, SANDWICH_PARAMS), g, 0.3)
+
+
+def sandwich(f, params, multiplier):
+    """multiplier(p) applied between the public continuous-convention transforms."""
+    phi = to_momentum(f, params)
+    p = f.grid.momentum_points(params.hbar)
+    moved = ComplexField(multiplier(p) * phi.values, f.grid, Representation.MOMENTUM, hbar=params.hbar)
+    return from_momentum(moved, params).values
+
+
+def max_rel(values, reference):
+    return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("g", SANDWICH_GRIDS.values(), ids=SANDWICH_GRIDS.keys())
+def test_spectral_matches_transform_sandwich(g):
+    f, t = moving_packet(g), 0.9
+    m, hbar = SANDWICH_PARAMS.mass, SANDWICH_PARAMS.hbar
+    expected = sandwich(f, SANDWICH_PARAMS, lambda p: np.exp(-1j * p**2 * t / (2 * m * hbar)))
+    out = propagate_spectral(f, t, SANDWICH_PARAMS).field.values
+    assert max_rel(out, expected) < 1e-13
+
+
+@pytest.mark.parametrize("g", SANDWICH_GRIDS.values(), ids=SANDWICH_GRIDS.keys())
+def test_short_time_matches_transform_sandwich(g):
+    f, t, pbar = moving_packet(g), 0.2, 1.5
+    m, hbar = SANDWICH_PARAMS.mass, SANDWICH_PARAMS.hbar
+    shifted = sandwich(f, SANDWICH_PARAMS, lambda p: np.exp(-1j * p * pbar * t / (m * hbar)))
+    expected = np.exp(1j * pbar**2 * t / (2 * m * hbar)) * shifted
+    out = short_time_approx(f, t, SANDWICH_PARAMS, pbar=pbar).field.values
+    assert max_rel(out, expected) < 1e-13
+
+
+@pytest.mark.parametrize("g", SANDWICH_GRIDS.values(), ids=SANDWICH_GRIDS.keys())
+def test_mean_r_matches_transform_sandwich(g):
+    f = moving_packet(g)
+    m = moments(f, SANDWICH_PARAMS)
+    p_psi = sandwich(f, SANDWICH_PARAMS, lambda p: p)
+    integrand = (np.conj(f.values) * (g.points - m.mean_x) * (p_psi - m.mean_p * f.values)).real
+    expected = (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])) * g.step
+    assert abs(m.mean_r) > 0.1
+    assert m.mean_r == pytest.approx(expected, rel=1e-13)
 
 
 # ------------------------------------------------------------ quadrature
@@ -154,7 +219,7 @@ def test_quadrature_never_calls_a_transform(monkeypatch):
         for name in module.__all__:
             if callable(getattr(module, name)):
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(freepacket.evolution, "to_momentum", refuse)
+    monkeypatch.setattr(freepacket.evolution, "_spectral_apply", refuse)
     monkeypatch.setattr(freepacket.evolution, "from_momentum", refuse)
     out = propagate_quadrature(f, -0.9, KERNEL_PARAMS).field.values
     np.testing.assert_array_equal(out, expected)

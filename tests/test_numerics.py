@@ -315,6 +315,30 @@ def test_second_derivative_of_chi_is_derivative_packet(grid, gauss_fam):
     assert np.sqrt(n_second) == pytest.approx(np.sqrt(3) / 2, rel=1e-10)
 
 
+SANDWICH_GRIDS = {
+    "centered": Grid.centered(6.4, 256),
+    "offset": Grid.centered_offset(6.4, 256),
+    "arbitrary": Grid(x0=0.37, step=0.05, n=256),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", SANDWICH_GRIDS.values(), ids=SANDWICH_GRIDS.keys())
+def test_spectral_derivative_matches_transform_sandwich(g, order):
+    # (i p / hbar)^order between the public transforms, with hbar != 1 to
+    # show the derivative does not depend on it
+    params = PhysicsParams(hbar=0.7, mass=1.3)
+    x = g.points
+    center = g.x0 + g.n * g.step / 2
+    f = ComplexField(np.exp(-((x - center) ** 2) / 2 + 2.1j * x) / np.pi**0.25, g)
+    k = g.momentum_points(params.hbar) / params.hbar
+    phi = to_momentum(f, params)
+    moved = ComplexField((1j * k) ** order * phi.values, g, Representation.MOMENTUM, hbar=params.hbar)
+    expected = from_momentum(moved, params).values
+    out = spectral_derivative(f, order).values
+    assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) < 1e-13
+
+
 # ---------------------------------------------------------------- norm^2
 
 
@@ -355,6 +379,32 @@ def test_grid_rejects_bad_sizes():
         Grid(x0=0.0, step=0.1, n=4)
     with pytest.raises(ValueError):
         Grid(x0=0.0, step=-0.1, n=16)
+
+
+@pytest.mark.parametrize(
+    "hbar, mass", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, -math.inf)]
+)
+def test_params_reject_nonfinite(hbar, mass):
+    with pytest.raises(ValueError, match="finite"):
+        PhysicsParams(hbar=hbar, mass=mass)
+
+
+@pytest.mark.parametrize(
+    "x0, step", [(math.nan, 0.1), (-math.inf, 0.1), (0.0, math.inf), (0.0, math.nan)]
+)
+def test_grid_rejects_nonfinite(x0, step):
+    with pytest.raises(ValueError):
+        Grid(x0=x0, step=step, n=8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])
+def test_field_rejects_nonfinite_values(grid, bad):
+    values = np.zeros(grid.n, dtype=complex)
+    values[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ComplexField(values, grid)
+    with pytest.raises(ValueError, match="finite"):
+        ComplexField(np.full(grid.n, bad), grid, Representation.MOMENTUM, hbar=1.0)
 
 
 def test_momentum_lattice_is_centered():
