@@ -19,7 +19,9 @@ Config files are line-oriented `key = value` with dotted keys and `#`
 comments; command-line flags override file values.  Times in config files are
 in natural units: tau for the Gaussian families, m a^2/hbar for the square.
 CSV numbers carry 17 significant digits so doubles round-trip exactly and
-reruns are byte-identical.
+reruns are byte-identical.  Each file is one 2-D float table rendered by a
+single `%.17g` format call (and each SVG polyline by a single `%.2f` call),
+which gives the same bytes as formatting every value on its own.
 """
 
 from __future__ import annotations
@@ -250,17 +252,20 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
     if half_width <= 0:
         raise ConfigError(f"grid.half_width: must be positive, got {half_width}")
 
-    unit = mass * a**2 / hbar if family == "square" else tau
+    try:
+        unit = mass * a**2 / hbar if family == "square" else tau
+    except OverflowError:
+        raise ConfigError(f"family.a: time unit m a^2/hbar overflows for a = {a}") from None
     if take("times"):
         value, where = take("times")
         scaled = tuple(_parse_float(part, where) for part in value.split(",") if part.strip())
         if not scaled:
             raise ConfigError(f"{where}: time list must be nonempty")
-        times = tuple(v * unit for v in scaled)
-        if not all(math.isfinite(v) for v in times):
-            raise ConfigError(f"{where}: times in absolute units must be finite, got {times}")
     else:
-        times = tuple(v * unit for v in _PRESET_TIMES[scenario])
+        scaled, where = _PRESET_TIMES[scenario], f"times (preset for {scenario})"
+    times = tuple(v * unit for v in scaled)
+    if not all(math.isfinite(v) for v in times):
+        raise ConfigError(f"{where}: times in absolute units must be finite, got {times}")
 
     out_dir = take("output.dir")[0] if take("output.dir") else "out"
 
@@ -293,15 +298,13 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]):
+def _write_csv(path: Path, header: list[str], table):
+    """Header line, then one line per row of the 2-D float `table`."""
+    table = np.asarray(table, dtype=float)
+    n, k = table.shape
+    line = ",".join(["%.17g"] * k) + "\n"
     with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.write(",".join(header) + "\n" + line * n % tuple(table.ravel().tolist()))
 
 
 def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
@@ -312,7 +315,7 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
     span_y = y_hi - y_lo or 1.0
     px = margin + (x - x_lo) / span_x * (width - 2 * margin)
     py = height - margin - (y - y_lo) / span_y * (height - 2 * margin)
-    pts = " ".join(f"{xx:.2f},{yy:.2f}" for xx, yy in zip(px, py))
+    pts = " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
     with open(path, "w", newline="\n") as handle:
         handle.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -320,10 +323,10 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
             f'<rect x="{margin}" y="{margin}" width="{width - 2 * margin}" '
             f'height="{height - 2 * margin}" fill="none" stroke="black"/>\n'
             f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>\n'
-            f'<text x="{margin}" y="{height - 10}" font-size="11">{_fmt(x_lo)}</text>\n'
+            f'<text x="{margin}" y="{height - 10}" font-size="11">{x_lo:.17g}</text>\n'
             f'<text x="{width - margin}" y="{height - 10}" text-anchor="end" font-size="11">'
-            f"{_fmt(x_hi)}</text>\n"
-            f'<text x="5" y="{margin}" font-size="11">{_fmt(y_hi)}</text>\n'
+            f"{x_hi:.17g}</text>\n"
+            f'<text x="5" y="{margin}" font-size="11">{y_hi:.17g}</text>\n'
             f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1"/>\n'
             "</svg>\n"
         )
@@ -419,7 +422,11 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                 mean_x, mean_r = m.mean_x, m.mean_r
                 delta_x, delta_p = m.delta_x, m.delta_p
             except ValueError:
-                # undersized grid (already warned about): moments unreliable
+                # moments are unreliable on an undersized grid (already warned
+                # about) and for the sampled square at t = 0, whose norm misses
+                # the tolerance unless a is a multiple of the grid step
+                if not (warnings or cfg.family == "square"):
+                    raise
                 mean_x = mean_r = delta_x = delta_p = math.nan
         short_bound, asym_bound = _bound_columns(cfg, t, delta_p, delta_x0)
         summary_rows.append([t, delta_x, delta_p, mean_x, mean_r, short_bound, asym_bound])
@@ -496,14 +503,13 @@ def _write_slice(
     if cfg.scenario in ("fig2", "fig4"):
         header += ["x_over_t", "t_times_density"]
         columns += [x / t, t * density]
-    rows = [[col[j] for col in columns] for j in range(len(x))]
-    _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", header, rows)
+    _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", header, np.column_stack(columns))
     if "svg" in cfg.formats:
         _write_svg(
             out_dir / f"{cfg.scenario}_t{index}.svg",
             x,
             density,
-            f"{cfg.scenario}: density at t = {_fmt(t)}",
+            f"{cfg.scenario}: density at t = {t:.17g}",
         )
 
 

@@ -202,13 +202,25 @@ def asymptotic_error_bound(delta_x: float, t: float, params: PhysicsParams) -> f
     delta_x is the spatial spread at the chosen initial instant; for packets
     with discontinuities the bound applies only when that instant is the one
     where the discontinuities exist (at any other time Dx does not exist).
-    Returns inf for infinite delta_x.
+    Returns inf for infinite delta_x.  Never NaN, and never raises for valid
+    arguments: where a power in the formula over- or underflows, the value
+    comes from logarithms instead, so it falls steadily to 0 as t grows.
     """
     if not t > 0:
         raise ValueError(f"bound requires t > 0, got {t}")
-    if delta_x < 0:
+    if not delta_x >= 0:
         raise ValueError(f"delta_x must be nonnegative, got {delta_x}")
     if math.isinf(delta_x):
         return math.inf
+    if delta_x == 0:
+        return 0.0
     m, hbar = params.mass, params.hbar
-    return math.sqrt(m**3 / (np.pi * hbar**3 * t**3)) * delta_x**2
+    try:
+        bound = math.sqrt(m**3 / (np.pi * hbar**3 * t**3)) * delta_x**2
+        if 0 < bound < math.inf:
+            return bound
+    except (OverflowError, ZeroDivisionError):
+        pass
+    log_bound = 1.5 * (math.log(m) - math.log(hbar) - math.log(t))
+    log_bound += 2 * math.log(delta_x) - 0.5 * math.log(np.pi)
+    return math.exp(log_bound) if log_bound < 709 else math.inf

@@ -1,15 +1,24 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freepacket.cli import (
+    _KNOWN_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_STRICT,
+    FAMILIES,
+    SCENARIOS,
     ConfigError,
+    ScenarioConfig,
+    _write_csv,
+    _write_svg,
     main,
     parse_config,
     run_scenario,
@@ -334,3 +343,132 @@ def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
     assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
     assert "grid step must be positive and finite" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # m a^2 / hbar overflows inside parse_config
+        "scenario = custom\nfamily = square\nfamily.a = 1e200",
+        # the preset times scale to (nan, inf, inf)
+        "family = square\nphysics.hbar = 1e-300\nfamily.a = 1e10",
+    ],
+)
+def test_main_overflowing_time_unit_exits_one(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{config}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_NUMBER_TEXT = st.sampled_from(
+    ["1", "0.5", "16", "1e200", "1e308", "1e-300", "5e-324", "0", "-1", "4096", "nan", "inf",
+     "9" * 400, "9" * 5000, str(2**100), "1e200, 1e-300", "0, 1e308"]
+)
+_WORDS = {
+    "scenario": SCENARIOS,
+    "family": FAMILIES,
+    "output.formats": ("csv", "svg", "csv, svg"),
+    "strict": ("true", "no"),
+}
+
+
+def _value_text(key):
+    """Garbage one time in ten, else the key's own words or number-like text."""
+    own = st.sampled_from(_WORDS[key]) if key in _WORDS else _NUMBER_TEXT
+    return st.integers(0, 9).flatmap(lambda i: st.text(max_size=12) if i == 0 else own)
+
+
+_DOCUMENTS = st.lists(st.sampled_from(sorted(_KNOWN_KEYS)), max_size=6, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _value_text(key) for key in keys})
+)
+
+
+@given(entries=_DOCUMENTS, overrides=_DOCUMENTS.map(lambda d: dict(list(d.items())[:2])))
+@settings(max_examples=300, deadline=None)
+def test_parse_config_returns_finite_times_or_config_error(entries, overrides):
+    # parse only: a drawn grid.n could make run_scenario allocate without bound
+    text = "\n".join(f"{key} = {value}" for key, value in entries.items())
+    try:
+        cfg = parse_config(text, overrides)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+    assert cfg.times and all(math.isfinite(t) for t in cfg.times)
+
+
+# ------------------------------------------------------------ byte format
+#
+# The writer renders whole tables with one format call; these references
+# format one value at a time, as the format's definition reads.
+
+
+def reference_csv(header, rows):
+    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_polyline(x, y):
+    width, height, margin = 640, 400, 45
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_hi = float(max(y.max(), 1e-300))
+    px = margin + (x - x_lo) / ((x_hi - x_lo) or 1.0) * (width - 2 * margin)
+    py = height - margin - y / y_hi * (height - 2 * margin)
+    return " ".join(f"{xx:.2f},{yy:.2f}" for xx, yy in zip(px, py))
+
+
+def read_table(path):
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), [[float(v) for v in line.split(",")] for line in lines]
+
+
+def svg_points(path):
+    return re.search(r'<polyline points="([^"]*)"', path.read_text()).group(1)
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e308, -1e308, 0.1]
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(3000) * 10.0 ** rng.integers(-300, 300, size=3000)
+    values = np.concatenate([special * 6, bits, scaled])
+    tables = {
+        "random.csv": values.reshape(-1, 6),
+        "one_column.csv": values.reshape(-1, 1),
+        "summary.csv": [
+            [0.0, 0.5, math.inf, math.nan, -0.0, math.inf, math.inf],
+            [0.1, math.nan, math.inf, math.nan, 1e-17, 2.5, 5e-324],
+        ],
+    }
+    for name, table in tables.items():
+        header = [f"c{j}" for j in range(np.shape(table)[1])]
+        _write_csv(tmp_path / name, header, table)
+        expected = reference_csv(header, np.asarray(table, dtype=float).tolist())
+        assert (tmp_path / name).read_bytes() == expected.encode()
+
+
+def test_default_outputs_match_per_value_format(tmp_path):
+    for scenario in ("fig1", "fig2", "fig3", "fig4", "spread-law"):
+        out = tmp_path / scenario
+        formats = "csv, svg" if scenario == "fig1" else "csv"
+        cfg = parse_config(f"scenario = {scenario}\noutput.dir = {out}\noutput.formats = {formats}")
+        assert run_scenario(cfg) == EXIT_OK
+        files = sorted(out.glob("*.csv"))
+        assert len(files) == len(cfg.times) + 1
+        for path in files:
+            header, rows = read_table(path)
+            assert path.read_text() == reference_csv(header, rows), path.name
+    header, rows = read_table(tmp_path / "fig1" / "fig1_t3.csv")
+    table = np.array(rows)
+    polyline = reference_polyline(table[:, 0], table[:, header.index("density")])
+    assert svg_points(tmp_path / "fig1" / "fig1_t3.svg") == polyline
+
+
+def test_svg_polyline_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 9, 1000):
+        x = np.sort(rng.uniform(-50, 50, size=n))
+        y = rng.exponential(size=n) * 10.0 ** rng.integers(-5, 5)
+        _write_svg(tmp_path / "p.svg", x, y, "t")
+        assert svg_points(tmp_path / "p.svg") == reference_polyline(x, y)

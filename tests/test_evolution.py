@@ -380,6 +380,32 @@ def test_asymptotic_bound_values(params):
         asymptotic_error_bound(1.0, 0.0, params)
 
 
+@pytest.mark.parametrize("t", [1e103, 1e308])
+def test_asymptotic_bound_past_cube_overflow(params, t):
+    # t**3 overflows: the bound must still be the formula's value, which
+    # falls to 0, instead of raising or turning into NaN
+    bound = asymptotic_error_bound(1.0, t, params)
+    expected = (1.0 / t) ** 1.5 / math.sqrt(math.pi)  # no cube formed
+    assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert bound <= asymptotic_error_bound(1.0, 1e100, params)
+
+
+def test_asymptotic_bound_is_monotone_across_the_double_range(params):
+    ts = np.logspace(-300, 308, 2000)
+    bounds = [asymptotic_error_bound(1.0, float(t), params) for t in ts]
+    assert all(not math.isnan(b) for b in bounds)
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    assert bounds[0] == math.inf and bounds[-1] == 0.0
+
+
+def test_asymptotic_bound_keeps_in_range_values_bitwise():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m, hbar, t, dx = (float(v) for v in 10.0 ** rng.uniform(-30, 30, size=4))
+        direct = math.sqrt(m**3 / (np.pi * hbar**3 * t**3)) * dx**2
+        assert asymptotic_error_bound(dx, t, PhysicsParams(hbar=hbar, mass=m)) == direct
+
+
 def test_asymptotic_bound_chi(gauss_fam, params):
     grid = Grid.centered(256.0, 8192)
     f = chi_field(gauss_fam, grid)
