@@ -152,20 +152,40 @@ def short_time_approx(
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 
+def _sqrt_bound(direct, log_q: float, spread: float) -> float:
+    """sqrt(q / pi) spread^2: direct() where that is positive and finite, else
+    from log q, since then a power inside direct() over- or underflowed."""
+    try:
+        bound = direct()
+        if 0 < bound < math.inf:
+            return bound
+    except (OverflowError, ZeroDivisionError):
+        pass
+    log_bound = 0.5 * (log_q - math.log(np.pi)) + 2 * math.log(spread)
+    return math.exp(log_bound) if log_bound < 709 else math.inf
+
+
 def short_time_error_bound(delta_p: float, t: float, params: PhysicsParams) -> float:
     """Rigorous pointwise bound sup_x |delta psi(x,t)|^2 <= sqrt(t/(pi m hbar^3)) Dp^2.
 
     Returns inf when delta_p is infinite (discontinuous packets): the
-    short-time picture is inapplicable there.
+    short-time picture is inapplicable there.  Never NaN and, like
+    asymptotic_error_bound, never raises for valid arguments.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"bound requires t >= 0, got {t}")
-    if delta_p < 0:
+    if not delta_p >= 0:
         raise ValueError(f"delta_p must be nonnegative, got {delta_p}")
     if math.isinf(delta_p):
         return math.inf
+    if t == 0 or delta_p == 0:
+        return 0.0
     m, hbar = params.mass, params.hbar
-    return math.sqrt(t / (np.pi * m * hbar**3)) * delta_p**2
+    return _sqrt_bound(
+        lambda: math.sqrt(t / (np.pi * m * hbar**3)) * delta_p**2,
+        math.log(t) - math.log(m) - 3 * math.log(hbar),
+        delta_p,
+    )
 
 
 def asymptotic_form(
@@ -215,12 +235,8 @@ def asymptotic_error_bound(delta_x: float, t: float, params: PhysicsParams) -> f
     if delta_x == 0:
         return 0.0
     m, hbar = params.mass, params.hbar
-    try:
-        bound = math.sqrt(m**3 / (np.pi * hbar**3 * t**3)) * delta_x**2
-        if 0 < bound < math.inf:
-            return bound
-    except (OverflowError, ZeroDivisionError):
-        pass
-    log_bound = 1.5 * (math.log(m) - math.log(hbar) - math.log(t))
-    log_bound += 2 * math.log(delta_x) - 0.5 * math.log(np.pi)
-    return math.exp(log_bound) if log_bound < 709 else math.inf
+    return _sqrt_bound(
+        lambda: math.sqrt(m**3 / (np.pi * hbar**3 * t**3)) * delta_x**2,
+        3 * (math.log(m) - math.log(hbar) - math.log(t)),
+        delta_x,
+    )

@@ -10,7 +10,9 @@ approximates the *continuous* hbar-scaled transform
 
 rather than the bare DFT.  The corrections cancel around any operator that
 is diagonal in momentum (free evolution, translation, derivatives), so those
-are applied as one bare FFT pair with the momenta in FFT order.
+are applied as one bare FFT pair with the momenta in FFT order, and the
+momentum density |phi|^2 is the bare |FFT|^2, reordered and scaled.  Every
+transform is scipy.fft's complex fft/ifft.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.fft
 from scipy.special import wofz
 
 __all__ = [
@@ -239,7 +242,7 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g = f.grid
     hbar = params.hbar
     p = g.momentum_points(hbar)
-    spectrum = np.fft.fftshift(np.fft.fft(f.values))
+    spectrum = np.fft.fftshift(scipy.fft.fft(f.values))
     phi = g.step / math.sqrt(2 * np.pi * hbar) * np.exp(-1j * p * g.x0 / hbar) * spectrum
     return ComplexField(phi, g, Representation.MOMENTUM, hbar=hbar)
 
@@ -255,7 +258,7 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g = f.grid
     hbar = params.hbar
     p = g.momentum_points(hbar)
-    psi = np.fft.ifft(np.fft.ifftshift(np.exp(1j * p * g.x0 / hbar) * f.values))
+    psi = scipy.fft.ifft(np.fft.ifftshift(np.exp(1j * p * g.x0 / hbar) * f.values))
     psi = math.sqrt(2 * np.pi * hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
 
@@ -270,7 +273,7 @@ def _spectral_apply(f: ComplexField, hbar: float, operator) -> np.ndarray:
     """
     n = f.grid.n
     p = f.grid.momentum_step(hbar) * np.fft.fftfreq(n, 1 / n)
-    return np.fft.ifft(operator(p) * np.fft.fft(f.values))
+    return scipy.fft.ifft(operator(p) * scipy.fft.fft(f.values))
 
 
 def spectral_derivative(f: ComplexField, order: int) -> ComplexField:

@@ -37,15 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
-from .numerics import (
-    ComplexField,
-    PhysicsParams,
-    Representation,
-    _spectral_apply,
-    quadrature_norm2,
-    to_momentum,
-)
+from .numerics import ComplexField, PhysicsParams, Representation
 
 __all__ = [
     "PacketMoments",
@@ -97,62 +91,64 @@ def _trapz(values: np.ndarray, step: float) -> float:
     return float((values.sum() - 0.5 * (values[0] + values[-1])) * step)
 
 
-def _second_moment_diverges(lattice, density, step, center, tol) -> bool:
-    # Compare the second moment taken over the full lattice with the one
-    # restricted to the inner half of the span; a converged moment does not
-    # care, a fat-tailed one does.
+def _second_moment_diverges(lattice, density, step, center, full) -> bool:
+    # Compare the second moment `full` taken over the full lattice with the
+    # one restricted to the inner half of the span; a converged moment does
+    # not care, a fat-tailed one does.
     span = lattice[-1] - lattice[0]
-    full = _trapz((lattice - center) ** 2 * density, step)
     inner = np.abs(lattice - 0.5 * (lattice[0] + lattice[-1])) <= span / 4
     restricted = float(np.sum(((lattice[inner] - center) ** 2 * density[inner])) * step)
     if full <= 0:
         return False
-    return abs(full - restricted) / full > tol
+    return abs(full - restricted) / full > _P_DIVERGENCE_TOL
 
 
-def _at_real_instant(values: np.ndarray) -> bool:
-    coherence = abs(np.sum(values**2)) / np.sum(np.abs(values) ** 2)
+def _at_real_instant(values: np.ndarray, density: np.ndarray) -> bool:
+    coherence = abs(np.sum(values**2)) / np.sum(density)
     return 1.0 - coherence <= _REAL_INSTANT_TOL
 
 
 def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     """Position and momentum moments of a normalized position-space field.
 
-    Position moments use trapezoidal quadrature; momentum moments go through
-    to_momentum; <R> is a single spectral inner product,
-    Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx.
+    Position moments use trapezoidal quadrature.  Every momentum quantity
+    comes from one bare FFT of psi: the momentum density is
+    step^2 / (2 pi hbar) |FFT|^2 on the centred lattice (the phase of
+    to_momentum drops out of the modulus), and <R> is the inner product
+    Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with P psi the inverse
+    FFT of that same spectrum times the lattice p in FFT order.
     """
     if f.representation is not Representation.POSITION:
         raise ValueError("moments expects a position-representation field")
-    norm2 = quadrature_norm2(f)
+    grid = f.grid
+    density_x = np.abs(f.values) ** 2
+    norm2 = _trapz(density_x, grid.step)
     if abs(norm2 - 1.0) > _NORM_TOLERANCE:
         raise ValueError(f"field must be normalized to {_NORM_TOLERANCE}, got norm^2 = {norm2}")
 
-    grid = f.grid
     x = grid.points
-    density_x = np.abs(f.values) ** 2
     mean_x = _trapz(x * density_x, grid.step)
     var_x = _trapz((x - mean_x) ** 2 * density_x, grid.step)
 
     hbar = params.hbar
-    phi = to_momentum(f, params)
+    spectrum = scipy.fft.fft(f.values)
     p = grid.momentum_points(hbar)
     dp = grid.momentum_step(hbar)
-    density_p = np.abs(phi.values) ** 2
+    density_p = np.fft.fftshift(grid.step**2 / (2 * np.pi * hbar) * np.abs(spectrum) ** 2)
     # First moment with the Nyquist bin dropped: that component belongs to
     # +p_max and -p_max equally, and keeping it breaks the exact pairwise
     # cancellation that makes <p> of a real packet vanish on the lattice.
     mean_p = float(np.sum((p * density_p)[1:]) * dp)
     var_p = _trapz((p - mean_p) ** 2 * density_p, dp)
 
-    p_diverges = _second_moment_diverges(p, density_p, dp, mean_p, _P_DIVERGENCE_TOL)
-    x_diverges = p_diverges and not _at_real_instant(f.values)
+    p_diverges = _second_moment_diverges(p, density_p, dp, mean_p, var_p)
+    x_diverges = p_diverges and not _at_real_instant(f.values, density_x)
 
     if x_diverges:
         delta_x = math.nan
         mean_r = math.nan
     else:
-        p_psi = _spectral_apply(f, hbar, lambda p_fft: p_fft)
+        p_psi = scipy.fft.ifft(np.fft.ifftshift(p) * spectrum)
         integrand = np.conj(f.values) * (x - mean_x) * (p_psi - mean_p * f.values)
         mean_r = _trapz(integrand.real, grid.step)
         delta_x = math.sqrt(max(var_x, 0.0))

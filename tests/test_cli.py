@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freepacket.cli import (
@@ -396,6 +396,32 @@ def test_parse_config_returns_finite_times_or_config_error(entries, overrides):
         return
     assert isinstance(cfg, ScenarioConfig)
     assert cfg.times and all(math.isfinite(t) for t in cfg.times)
+
+
+_GRID_N = st.sampled_from(["0", "3", "-8", *(str(2**k) for k in range(3, 11))])
+_TIMES = st.lists(
+    st.sampled_from(["0", "-1", "0.5", "3", "1e-300", "1e200", "1e308", "nan"]), min_size=1, max_size=4
+).map(", ".join)
+_RUN_DOCUMENTS = st.lists(
+    st.sampled_from(sorted(_KNOWN_KEYS - {"grid.n", "times"})), max_size=6, unique=True
+).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: _value_text(key) for key in keys},
+        optional={"times": _TIMES},
+    )
+)
+
+
+@given(entries=_RUN_DOCUMENTS, grid_n=_GRID_N)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # garbage input may overflow before it is rejected
+def test_main_ends_in_an_exit_status(tmp_path, entries, grid_n):
+    # grid.n is always drawn small or invalid, so no run can allocate without bound
+    text = "\n".join(f"{key} = {value}" for key, value in {**entries, "grid.n": grid_n}.items())
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert type(status) is int and status in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_STRICT)
 
 
 # ------------------------------------------------------------ byte format

@@ -278,6 +278,52 @@ def test_short_time_bound_values(params):
         short_time_error_bound(1.0, -1.0, params)
 
 
+@pytest.mark.parametrize(
+    "delta_p, t, params",
+    [
+        (1e200, 1.0, PhysicsParams()),  # Dp^2 overflows
+        (1.0, 1.0, PhysicsParams(hbar=1e-110)),  # hbar^3 underflows to 0
+        (1e-200, 1e-300, PhysicsParams()),  # Dp^2 and the whole value underflow
+        (1e150, 1e-10, PhysicsParams(hbar=1e-120, mass=1e200)),  # only a power overflows
+    ],
+)
+def test_short_time_bound_past_power_overflow(delta_p, t, params):
+    # the formula's value, from logarithms, instead of a raise or NaN
+    m, hbar = params.mass, params.hbar
+    log_expected = 0.5 * (math.log(t / (math.pi * m)) - 3 * math.log(hbar)) + 2 * math.log(delta_p)
+    expected = math.exp(log_expected) if log_expected < 709 else math.inf
+    bound = short_time_error_bound(delta_p, t, params)
+    assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("delta_p, t", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+def test_short_time_bound_rejects_nan_and_negative(params, delta_p, t):
+    with pytest.raises(ValueError):
+        short_time_error_bound(delta_p, t, params)
+
+
+def test_short_time_bound_is_monotone_across_the_double_range(params):
+    grid = [float(v) for v in np.logspace(-300, 308, 1500)]
+    runs = {
+        "t, underflow": [short_time_error_bound(1e-100, t, params) for t in grid],
+        "t, overflow": [short_time_error_bound(1e140, t, params) for t in grid],
+        "delta_p": [short_time_error_bound(dp, 1.0, params) for dp in grid],
+    }
+    for name, bounds in runs.items():
+        assert all(not math.isnan(b) for b in bounds), name
+        assert all(a <= b for a, b in zip(bounds, bounds[1:])), name
+    assert runs["t, underflow"][0] == 0.0 and runs["t, overflow"][-1] == math.inf
+    assert runs["delta_p"][0] == 0.0 and runs["delta_p"][-1] == math.inf
+
+
+def test_short_time_bound_keeps_in_range_values_bitwise():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        m, hbar, t, dp = (float(v) for v in 10.0 ** rng.uniform(-30, 30, size=4))
+        direct = math.sqrt(t / (np.pi * m * hbar**3)) * dp**2
+        assert short_time_error_bound(dp, t, PhysicsParams(hbar=hbar, mass=m)) == direct
+
+
 def test_short_time_bound_chibar2(gauss_fam, wide_grid, params):
     f = sample(lambda x, t: derivative_packet(gauss_fam, 2, x, t), wide_grid, 0.0)
     t = 0.1 * gauss_fam.tau

@@ -1,16 +1,24 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freepacket.numerics
+import freepacket.observables
 from freepacket import (
     ComplexField,
+    GaussianFamily,
     Grid,
     PacketMoments,
+    PhysicsParams,
+    Representation,
     SquareFamily,
     derivative_packet,
+    from_momentum,
     galilean_boost,
     gaussian_chi,
     hermite_gauss,
@@ -22,7 +30,9 @@ from freepacket import (
     square_initial,
     timescale_tx_initial,
     timescales,
+    to_momentum,
 )
+from freepacket.observables import _P_DIVERGENCE_TOL, _REAL_INSTANT_TOL
 
 
 # ---------------------------------------------------------------- moments
@@ -92,6 +102,139 @@ def test_heisenberg_inequality_across_families(gauss_fam, grid, params):
     for f in fields:
         m = moments(f, params)
         assert m.delta_x * m.delta_p >= params.hbar / 2 * (1 - 1e-9)
+
+
+# ------------------------------- one bare spectrum vs the public transforms
+#
+# moments reads every momentum quantity off one bare FFT of psi.  The
+# reference below takes them the long way, as the definitions read: |phi|^2
+# from to_momentum, and P psi through to_momentum -> times p -> from_momentum.
+
+REF_PARAMS = PhysicsParams(hbar=0.7, mass=1.3)
+REF_GRIDS = {
+    "centered": Grid.centered(6.4, 256),
+    "offset": Grid.centered_offset(6.4, 256),
+    "arbitrary": Grid(x0=0.37, step=0.05, n=256),
+    "n65536": Grid.centered(64.0, 65536),
+}
+
+
+def _trapz(values, step):
+    return (values.sum() - 0.5 * (values[0] + values[-1])) * step
+
+
+def reference_moments(f, params):
+    g, psi = f.grid, f.values
+    x = g.points
+    density_x = np.abs(psi) ** 2
+    mean_x = _trapz(x * density_x, g.step)
+    var_x = _trapz((x - mean_x) ** 2 * density_x, g.step)
+
+    phi = to_momentum(f, params)
+    p, dp = phi.lattice, phi.lattice_step
+    density_p = np.abs(phi.values) ** 2
+    mean_p = np.sum((p * density_p)[1:]) * dp  # Nyquist bin dropped
+    var_p = _trapz((p - mean_p) ** 2 * density_p, dp)
+    inner = np.abs(p - 0.5 * (p[0] + p[-1])) <= (p[-1] - p[0]) / 4
+    restricted = np.sum((p[inner] - mean_p) ** 2 * density_p[inner]) * dp
+    p_diverges = var_p > 0 and abs(var_p - restricted) / var_p > _P_DIVERGENCE_TOL
+    coherence = abs(np.sum(psi**2)) / np.sum(density_x)
+    x_diverges = p_diverges and 1 - coherence > _REAL_INSTANT_TOL
+
+    moved = ComplexField(p * phi.values, g, Representation.MOMENTUM, hbar=params.hbar)
+    p_psi = from_momentum(moved, params).values
+    mean_r = _trapz((np.conj(psi) * (x - mean_x) * (p_psi - mean_p * psi)).real, g.step)
+    return PacketMoments(
+        mean_x=float(mean_x),
+        mean_p=float(mean_p),
+        delta_x=math.nan if x_diverges else math.sqrt(var_x),
+        delta_p=math.inf if p_diverges else math.sqrt(var_p),
+        mean_r=math.nan if x_diverges else float(mean_r),
+    )
+
+
+def _normalized(values, g):
+    return ComplexField(values / math.sqrt(_trapz(np.abs(values) ** 2, g.step)), g)
+
+
+def ref_packet(kind, g):
+    """A packet centred on g and decayed at its edges."""
+    fam = GaussianFamily(params=REF_PARAMS, tau=0.5)
+    center = g.x0 + g.n * g.step / 2
+    if kind == "boosted-derivative":
+        resting = lambda x, t: derivative_packet(fam, 2, x - center, t)  # noqa: E731
+        return sample(galilean_boost(resting, 1.5, 0.0, REF_PARAMS), g, 0.3)
+    if kind == "hermite-gauss":
+        return sample(lambda x, t: hermite_gauss(fam, 3, x - center, t), g, 0.4)
+    square = _normalized(square_initial(SquareFamily(params=REF_PARAMS, a=1.0), g.points - center), g)
+    if kind == "square-t0":
+        return square
+    return _normalized(propagate_spectral(square, 0.1, REF_PARAMS).field.values, g)
+
+
+REF_KINDS = ("boosted-derivative", "hermite-gauss", "square-t0", "square-evolved")
+
+
+@pytest.mark.parametrize("kind", REF_KINDS)
+@pytest.mark.parametrize("g", REF_GRIDS.values(), ids=REF_GRIDS.keys())
+def test_moments_match_public_transform_reference(g, kind):
+    f = ref_packet(kind, g)
+    got, expected = moments(f, REF_PARAMS), reference_moments(f, REF_PARAMS)
+    # the spreads set the size below which a zero-valued moment is rounding
+    # noise (the square's Dp is infinite, so its momentum scale is hbar / Dx)
+    x_scale = expected.delta_x if math.isfinite(expected.delta_x) else 1.0
+    p_scale = expected.delta_p if math.isfinite(expected.delta_p) else REF_PARAMS.hbar / x_scale
+    scales = {
+        "mean_x": x_scale,
+        "mean_p": p_scale,
+        "delta_x": x_scale,
+        "delta_p": p_scale,
+        "mean_r": x_scale * p_scale,
+    }
+    for name, scale in scales.items():
+        a, b = getattr(got, name), getattr(expected, name)
+        if not math.isfinite(b):
+            assert a == b or (math.isnan(a) and math.isnan(b)), name
+        else:
+            assert abs(a - b) <= 1e-13 * max(abs(b), scale), (name, a, b)
+    if kind == "square-t0":
+        assert got.delta_p == math.inf and math.isfinite(got.delta_x)
+    if kind == "square-evolved":
+        assert got.delta_p == math.inf and math.isnan(got.delta_x) and math.isnan(got.mean_r)
+
+
+def _count_transforms(monkeypatch):
+    """Count calls into every transform of numpy.fft and scipy.fft, by name."""
+    calls = Counter()
+    helpers = {"fftshift", "ifftshift", "fftfreq", "rfftfreq"}
+    for module in (np.fft, scipy.fft):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if callable(fn) and name not in helpers and not name.startswith(("set_", "get_")):
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moments called to_momentum")
+
+    monkeypatch.setattr(freepacket.numerics, "to_momentum", refuse)
+    monkeypatch.setattr(freepacket.observables, "to_momentum", refuse, raising=False)
+    return calls
+
+
+def test_moments_take_one_forward_and_one_inverse_transform(monkeypatch):
+    smooth = ref_packet("boosted-derivative", REF_GRIDS["arbitrary"])
+    divergent = ref_packet("square-evolved", REF_GRIDS["offset"])
+    calls = _count_transforms(monkeypatch)
+    moments(smooth, REF_PARAMS)
+    assert calls == Counter(fft=1, ifft=1)
+    calls.clear()
+    assert math.isnan(moments(divergent, REF_PARAMS).delta_x)
+    assert calls == Counter(fft=1)
 
 
 # ------------------------------------------------------------- spread law
