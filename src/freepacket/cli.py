@@ -18,6 +18,11 @@ Scenarios
 Config files are line-oriented `key = value` with dotted keys and `#`
 comments; command-line flags override file values.  Times in config files are
 in natural units: tau for the Gaussian families, m a^2/hbar for the square.
+The rescaled scenarios (fig2, fig4) divide by t, so a time of 0 is a config
+error.  The initial spread behind the half-width warning and the asymptotic
+bound is exact for every family; for derivative packets it is
+Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
+by zero or invalid operation while running is a runtime error (exit 2).
 CSV numbers carry 17 significant digits so doubles round-trip exactly and
 reruns are byte-identical.  Each file is one 2-D float table rendered by a
 single `%.17g` format call (and each SVG polyline by a single `%.2f` call),
@@ -31,6 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from .evolution import (
     short_time_approx,
     short_time_error_bound,
 )
-from .numerics import ComplexField, Grid, PhysicsParams, to_momentum
+from .numerics import Grid, PhysicsParams, to_momentum
 from .observables import moments, spread_law_from_state, spread_prediction
 from .packets import (
     DERIVATIVE_MAX_ORDER,
@@ -63,58 +69,7 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_STRICT = 3
 
-SCENARIOS = ("fig1", "fig2", "fig3", "fig4", "spread-law", "bounds", "custom")
 FAMILIES = ("gaussian", "hermite-gauss", "derivative", "square")
-
-# (family, order); None order means the family takes no order.
-_PRESET_FAMILY = {
-    "fig1": ("derivative", 2),
-    "fig2": ("derivative", 2),
-    "fig3": ("square", None),
-    "fig4": ("square", None),
-    "spread-law": ("hermite-gauss", 2),
-    "bounds": ("derivative", 2),
-    "custom": ("gaussian", None),
-}
-
-# Times in natural units (tau, or m a^2/hbar for the square).
-_PRESET_TIMES = {
-    "fig1": (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
-    "fig2": (3.0, 4.0, 6.0, 16.0),
-    "fig3": (0.0, 0.001, 0.01, 0.1),
-    "fig4": (0.1, 0.2, 0.5),
-    "spread-law": (-3.0, -2.4, -1.8, -1.2, -0.6, 0.0, 0.6, 1.2, 1.8, 2.4, 3.0),
-    "bounds": (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0),
-    "custom": (0.0, 0.5, 1.0),
-}
-
-# (grid n, half width) defaults, sized so the most-spread slice stays many
-# scale lengths inside the domain.
-_PRESET_GRID = {
-    "fig1": (4096, 64.0),
-    "fig2": (4096, 160.0),
-    "fig3": (4096, 64.0),
-    "fig4": (4096, 64.0),
-    "spread-law": (4096, 64.0),
-    "bounds": (4096, 128.0),
-    "custom": (4096, 64.0),
-}
-
-_KNOWN_KEYS = {
-    "scenario",
-    "physics.hbar",
-    "physics.mass",
-    "family",
-    "family.n",
-    "family.tau",
-    "family.a",
-    "grid.n",
-    "grid.half_width",
-    "times",
-    "output.dir",
-    "output.formats",
-    "strict",
-}
 
 
 class ConfigError(ValueError):
@@ -142,30 +97,258 @@ class ScenarioConfig:
         return PhysicsParams(hbar=self.hbar, mass=self.mass)
 
 
-def _parse_float(raw: str, where: str) -> float:
+def _initial_spread(cfg: ScenarioConfig) -> float:
+    p, n = cfg.params, cfg.family_order
+    if cfg.family == "square":
+        return cfg.a / math.sqrt(12.0)
+    gamma0 = math.sqrt(p.hbar * cfg.tau / p.mass)
+    if cfg.family == "gaussian":
+        return gamma0 / math.sqrt(2.0)
+    if cfg.family == "hermite-gauss":
+        return gamma0 * math.sqrt(n + 0.5)
+    return math.sqrt((4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass))
+
+
+def _family_evaluator(cfg: ScenarioConfig):
+    p = cfg.params
+    if cfg.family == "square":
+        fam = SquareFamily(params=p, a=cfg.a)
+
+        def evaluate(x, t):
+            return square_initial(fam, x) if t == 0 else square_exact(fam, x, t)
+
+        return evaluate
+    fam = GaussianFamily(params=p, tau=cfg.tau)
+    if cfg.family == "gaussian":
+        return lambda x, t: gaussian_chi(fam, x, t)
+    if cfg.family == "hermite-gauss":
+        return lambda x, t: hermite_gauss(fam, cfg.family_order, x, t)
+    return lambda x, t: derivative_packet(fam, cfg.family_order, x, t)
+
+
+def _short_time_bound(delta_p: float, t: float, params: PhysicsParams) -> float:
+    """The short-time bound at |t|: finite Dp gives the bound, otherwise inf."""
+    return short_time_error_bound(delta_p, abs(t), params) if math.isfinite(delta_p) else math.inf
+
+
+# A summary kind takes (cfg, grid, evaluate, warned) and returns the summary
+# header and a function of t that gives the slice's field and summary row.
+
+
+def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+    params, delta_x0 = cfg.params, _initial_spread(cfg)
+
+    def slice_at(t):
+        # ComplexField rejects non-finite samples before any reach a CSV
+        field = sample(evaluate, grid, t)
+        if cfg.family == "square" and t != 0:
+            # Dp is infinite for the square packet and Dx exists only at the
+            # discontinuity instant; report the honest non-values.
+            mean_x = mean_r = delta_x = math.nan
+            delta_p = math.inf
+        else:
+            try:
+                m = moments(field, params)
+                mean_x, mean_r, delta_x, delta_p = m.mean_x, m.mean_r, m.delta_x, m.delta_p
+            except ValueError:
+                # moments are unreliable on an undersized grid (already warned
+                # about) and for the sampled square at t = 0, whose norm misses
+                # the tolerance unless a is a multiple of the grid step
+                if not (warned or cfg.family == "square"):
+                    raise
+                mean_x = mean_r = delta_x = delta_p = math.nan
+        asym_bound = asymptotic_error_bound(delta_x0, abs(t), params) if t != 0 else math.inf
+        short_bound = _short_time_bound(delta_p, t, params)
+        return field, [t, delta_x, delta_p, mean_x, mean_r, short_bound, asym_bound]
+
+    header = ["t", "delta_x", "delta_p", "mean_x", "mean_r", "short_time_bound", "asymptotic_bound"]
+    return header, slice_at
+
+
+def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+    params = cfg.params
+    psi0 = sample(evaluate, grid, 0.0)
+    law = spread_law_from_state(moments(psi0, params), params, 0.0)
+
+    def slice_at(t):
+        evolved = propagate_spectral(psi0, t, params).field
+        m = moments(evolved, params)
+        predicted = spread_prediction(law, params, t)
+        gap = abs(m.delta_x - predicted) / predicted
+        return evolved, [t, m.delta_x, predicted, gap, m.delta_p, m.mean_x, m.mean_r]
+
+    return ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"], slice_at
+
+
+def _bounds(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+    params = cfg.params
+    psi0 = sample(evaluate, grid, 0.0)
+    m0 = moments(psi0, params)
+    phi0 = to_momentum(psi0, params)
+
+    def slice_at(t):
+        exact = propagate_spectral(psi0, t, params).field
+        translated = short_time_approx(psi0, t, params, pbar=m0.mean_p).field
+        short_sup = float(np.max(np.abs(exact.values - translated.values) ** 2))
+        if t > 0:
+            asym = asymptotic_form(phi0, m0.mean_x, t, params).field
+            asym_sup = float(np.max(np.abs(exact.values - asym.values) ** 2))
+            asym_bound = asymptotic_error_bound(m0.delta_x, t, params)
+        else:
+            asym_sup, asym_bound = math.nan, math.inf
+        short_bound = _short_time_bound(m0.delta_p, t, params)
+        return exact, [t, short_bound, short_sup, asym_bound, asym_sup]
+
+    return ["t", "short_time_bound", "short_sup_dpsi2", "asymptotic_bound", "asym_sup_dpsi2"], slice_at
+
+
+class _Scenario(NamedTuple):
+    family: str  # the default family
+    fixed: bool  # no other family is allowed
+    times: tuple[float, ...]  # natural units: tau, or m a^2/hbar for the square
+    half_width: float  # keeps the most-spread slice many scale lengths inside
+    summary: Callable  # the summary kind
+    rescaled: bool = False  # slices add x/t and t*density, so no time may be 0
+
+
+_SCENARIO_TABLE = {
+    "fig1": _Scenario("derivative", True, (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0), 64.0, _closed_form),
+    "fig2": _Scenario("derivative", True, (3.0, 4.0, 6.0, 16.0), 160.0, _closed_form, True),
+    "fig3": _Scenario("square", True, (0.0, 0.001, 0.01, 0.1), 64.0, _closed_form),
+    "fig4": _Scenario("square", True, (0.1, 0.2, 0.5), 64.0, _closed_form, True),
+    "spread-law": _Scenario(
+        "hermite-gauss",
+        False,
+        (-3.0, -2.4, -1.8, -1.2, -0.6, 0.0, 0.6, 1.2, 1.8, 2.4, 3.0),
+        64.0,
+        _spread_law,
+    ),
+    "bounds": _Scenario("derivative", False, (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0), 128.0, _bounds),
+    "custom": _Scenario("gaussian", False, (0.0, 0.5, 1.0), 64.0, _closed_form),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
+
+
+# Key parsers take the raw text and the values of the keys above it in the
+# key table; they raise ConfigError without a location, which parse_config adds.
+
+
+def _preset(cfg: dict) -> _Scenario:
+    return _SCENARIO_TABLE[cfg["scenario"]]
+
+
+def _number(text: str) -> float:
     try:
-        value = float(raw)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{where}: not a number: {raw!r}") from None
+        raise ConfigError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: must be finite, got {raw!r}")
+        raise ConfigError(f"must be finite, got {text!r}")
     return value
 
 
-def _parse_int(raw: str, where: str) -> int:
+def _integer(text: str) -> int:
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{where}: not an integer: {raw!r}") from None
+        raise ConfigError(f"not an integer: {text!r}") from None
 
 
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.lower()
+def _positive(text: str, cfg: dict) -> float:
+    value = _number(text)
+    if value <= 0:
+        raise ConfigError(f"must be positive, got {value}")
+    return value
+
+
+def _one_of(choices: tuple[str, ...]):
+    def parse(text: str, cfg: dict) -> str:
+        if text not in choices:
+            raise ConfigError(f"must be one of {', '.join(choices)}")
+        return text
+
+    return parse
+
+
+def _family(text: str, cfg: dict) -> str:
+    family, row = _one_of(FAMILIES)(text, cfg), _preset(cfg)
+    if row.fixed and family != row.family:
+        raise ConfigError(f"scenario {cfg['scenario']} fixes family = {row.family}")
+    return family
+
+
+def _order(text: str, cfg: dict) -> int:
+    order, family = _integer(text), cfg["family"]
+    limit = DERIVATIVE_MAX_ORDER if family == "derivative" else HERMITE_GAUSS_MAX_ORDER
+    if not 0 <= order <= limit:
+        raise ConfigError(f"order for family {family} must be in [0, {limit}]")
+    return order
+
+
+def _power_of_two(text: str, cfg: dict) -> int:
+    n = _integer(text)
+    if n < 8 or n & (n - 1):
+        raise ConfigError(f"not a power of two >= 8: {n}")
+    return n
+
+
+def _absolute_times(natural: tuple[float, ...], cfg: dict) -> tuple[float, ...]:
+    unit, a = cfg["family.tau"], cfg["family.a"]
+    if cfg["family"] == "square":
+        try:
+            unit = cfg["physics.mass"] * a**2 / cfg["physics.hbar"]
+        except OverflowError:
+            raise ConfigError(f"time unit m a^2/hbar overflows for family.a = {a}") from None
+    times = tuple(v * unit for v in natural)
+    if not all(math.isfinite(v) for v in times):
+        raise ConfigError(f"times in absolute units must be finite, got {times}")
+    if _preset(cfg).rescaled and 0.0 in times:
+        raise ConfigError(f"scenario {cfg['scenario']} divides by t, so no time may be 0: {times}")
+    return times
+
+
+def _times(text: str, cfg: dict) -> tuple[float, ...]:
+    natural = tuple(_number(part) for part in text.split(",") if part.strip())
+    if not natural:
+        raise ConfigError("time list must be nonempty")
+    return _absolute_times(natural, cfg)
+
+
+def _formats(text: str, cfg: dict) -> tuple[str, ...]:
+    wanted = {part.strip() for part in text.split(",") if part.strip()}
+    if not wanted or wanted - {"csv", "svg"}:
+        raise ConfigError("formats must be a nonempty subset of csv, svg")
+    return tuple(f for f in ("csv", "svg") if f in wanted)
+
+
+def _boolean(text: str, cfg: dict) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{where}: not a boolean: {raw!r}")
+    raise ConfigError(f"not a boolean: {text!r}")
+
+
+# key -> (parser, default), in ScenarioConfig field order.  A callable default
+# is derived from the keys above it: from the scenario's row, and order 2 for
+# the families that take an order.
+_KEY_TABLE = {
+    "scenario": (_one_of(SCENARIOS), "custom"),
+    "physics.hbar": (_positive, 1.0),
+    "physics.mass": (_positive, 1.0),
+    "family": (_family, lambda cfg: _preset(cfg).family),
+    "family.n": (_order, lambda cfg: 2 if cfg["family"] in ("hermite-gauss", "derivative") else None),
+    "family.tau": (_positive, 1.0),
+    "family.a": (_positive, 1.0),
+    "grid.n": (_power_of_two, 4096),
+    "grid.half_width": (_positive, lambda cfg: _preset(cfg).half_width),
+    "times": (_times, lambda cfg: _absolute_times(_preset(cfg).times, cfg)),
+    "output.dir": (lambda text, cfg: text, "out"),
+    "output.formats": (_formats, ("csv",)),
+    "strict": (_boolean, False),
+}
+_KNOWN_KEYS = _KEY_TABLE.keys()
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -193,109 +376,17 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
             raise ConfigError(f"override: unknown key {key!r}")
         raw[key] = (value, f"flag {key}")
 
-    def take(key: str) -> tuple[str, str] | None:
-        return raw.get(key)
-
-    scenario = "custom"
-    if take("scenario"):
-        value, where = take("scenario")
-        if value not in SCENARIOS:
-            raise ConfigError(f"{where}: scenario must be one of {', '.join(SCENARIOS)}")
-        scenario = value
-
-    hbar = _parse_float(*take("physics.hbar")) if take("physics.hbar") else 1.0
-    mass = _parse_float(*take("physics.mass")) if take("physics.mass") else 1.0
-    if hbar <= 0:
-        raise ConfigError(f"physics.hbar: must be positive, got {hbar}")
-    if mass <= 0:
-        raise ConfigError(f"physics.mass: must be positive, got {mass}")
-
-    preset_family, preset_order = _PRESET_FAMILY[scenario]
-    if take("family"):
-        value, where = take("family")
-        if value not in FAMILIES:
-            raise ConfigError(f"{where}: family must be one of {', '.join(FAMILIES)}")
-        if scenario.startswith("fig") and value != preset_family:
-            raise ConfigError(f"{where}: scenario {scenario} fixes family = {preset_family}")
-        family = value
-    else:
-        family = preset_family
-
-    if take("family.n"):
-        value, where = take("family.n")
-        order = _parse_int(value, where)
-        limit = DERIVATIVE_MAX_ORDER if family == "derivative" else HERMITE_GAUSS_MAX_ORDER
-        if order < 0 or order > limit:
-            raise ConfigError(f"{where}: order for family {family} must be in [0, {limit}]")
-        family_order = order
-    else:
-        family_order = preset_order if family in ("hermite-gauss", "derivative") else None
-        if family in ("hermite-gauss", "derivative") and family_order is None:
-            family_order = 2
-
-    tau = _parse_float(*take("family.tau")) if take("family.tau") else 1.0
-    a = _parse_float(*take("family.a")) if take("family.a") else 1.0
-    if tau <= 0:
-        raise ConfigError(f"family.tau: must be positive, got {tau}")
-    if a <= 0:
-        raise ConfigError(f"family.a: must be positive, got {a}")
-
-    default_n, default_hw = _PRESET_GRID[scenario]
-    if take("grid.n"):
-        value, where = take("grid.n")
-        grid_n = _parse_int(value, where)
-        if grid_n < 8 or (grid_n & (grid_n - 1)) != 0:
-            raise ConfigError(f"{where}: not a power of two >= 8: {grid_n}")
-    else:
-        grid_n = default_n
-    half_width = _parse_float(*take("grid.half_width")) if take("grid.half_width") else default_hw
-    if half_width <= 0:
-        raise ConfigError(f"grid.half_width: must be positive, got {half_width}")
-
-    try:
-        unit = mass * a**2 / hbar if family == "square" else tau
-    except OverflowError:
-        raise ConfigError(f"family.a: time unit m a^2/hbar overflows for a = {a}") from None
-    if take("times"):
-        value, where = take("times")
-        scaled = tuple(_parse_float(part, where) for part in value.split(",") if part.strip())
-        if not scaled:
-            raise ConfigError(f"{where}: time list must be nonempty")
-    else:
-        scaled, where = _PRESET_TIMES[scenario], f"times (preset for {scenario})"
-    times = tuple(v * unit for v in scaled)
-    if not all(math.isfinite(v) for v in times):
-        raise ConfigError(f"{where}: times in absolute units must be finite, got {times}")
-
-    out_dir = take("output.dir")[0] if take("output.dir") else "out"
-
-    if take("output.formats"):
-        value, where = take("output.formats")
-        wanted = [part.strip() for part in value.split(",") if part.strip()]
-        bad = [w for w in wanted if w not in ("csv", "svg")]
-        if bad or not wanted:
-            raise ConfigError(f"{where}: formats must be a nonempty subset of csv, svg")
-        formats = tuple(f for f in ("csv", "svg") if f in wanted)
-    else:
-        formats = ("csv",)
-
-    strict = _parse_bool(*take("strict")) if take("strict") else False
-
-    return ScenarioConfig(
-        scenario=scenario,
-        hbar=hbar,
-        mass=mass,
-        family=family,
-        family_order=family_order,
-        tau=tau,
-        a=a,
-        grid_n=grid_n,
-        half_width=half_width,
-        times=times,
-        out_dir=out_dir,
-        formats=formats,
-        strict=strict,
-    )
+    cfg: dict = {}
+    for key, (parse, default) in _KEY_TABLE.items():
+        try:
+            if key in raw:
+                cfg[key] = parse(raw[key][0], cfg)
+            else:
+                cfg[key] = default(cfg) if callable(default) else default
+        except ConfigError as err:
+            where = raw[key][1] if key in raw else f"{key} (preset for {cfg['scenario']})"
+            raise ConfigError(f"{where}: {err}") from None
+    return ScenarioConfig(*cfg.values())
 
 
 def _write_csv(path: Path, header: list[str], table):
@@ -332,50 +423,13 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
         )
 
 
-def _initial_spread(cfg: ScenarioConfig) -> float:
-    p = cfg.params
-    if cfg.family == "square":
-        return cfg.a / math.sqrt(12.0)
-    gamma0 = math.sqrt(p.hbar * cfg.tau / p.mass)
-    if cfg.family == "gaussian":
-        return gamma0 / math.sqrt(2.0)
-    if cfg.family == "hermite-gauss":
-        return gamma0 * math.sqrt(cfg.family_order + 0.5)
-    if cfg.family_order == 2:
-        return math.sqrt(7 * p.hbar * cfg.tau / (6 * p.mass))
-    return gamma0 * math.sqrt(cfg.family_order + 1.0)
-
-
-def _family_evaluator(cfg: ScenarioConfig):
-    p = cfg.params
-    if cfg.family == "square":
-        fam = SquareFamily(params=p, a=cfg.a)
-
-        def evaluate(x, t):
-            return square_initial(fam, x) if t == 0 else square_exact(fam, x, t)
-
-        return evaluate
-    fam = GaussianFamily(params=p, tau=cfg.tau)
-    if cfg.family == "gaussian":
-        return lambda x, t: gaussian_chi(fam, x, t)
-    if cfg.family == "hermite-gauss":
-        return lambda x, t: hermite_gauss(fam, cfg.family_order, x, t)
-    return lambda x, t: derivative_packet(fam, cfg.family_order, x, t)
-
-
-def _bound_columns(cfg: ScenarioConfig, t: float, delta_p: float, delta_x0: float):
-    p = cfg.params
-    short = short_time_error_bound(delta_p, abs(t), p) if math.isfinite(delta_p) else math.inf
-    asym = asymptotic_error_bound(delta_x0, abs(t), p) if t != 0 else math.inf
-    return short, asym
-
-
+@np.errstate(over="raise", divide="raise", invalid="raise", under="ignore")
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Compute one scenario and write its slice and summary files.
 
     Returns a process exit status; raises OSError for unwritable output and
-    lets numerical errors propagate (the command-line wrapper maps those to
-    exit code 2).
+    lets numerical errors propagate, floating-point ones as FloatingPointError
+    (the command-line wrapper maps those to exit code 2).
     """
     warnings: list[str] = []
     min_half_width = 10.0 * _initial_spread(cfg)
@@ -392,125 +446,32 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = cfg.params
-    grid = (
-        Grid.centered_offset(cfg.half_width, cfg.grid_n)
-        if cfg.family == "square"
-        else Grid.centered(cfg.half_width, cfg.grid_n)
-    )
-    x = grid.points
-    evaluate = _family_evaluator(cfg)
-
-    if cfg.scenario in ("spread-law", "bounds"):
-        return _run_measurement_scenario(cfg, grid, evaluate, out_dir)
-
-    delta_x0 = _initial_spread(cfg)
-    summary_rows = []
-    for index, t in enumerate(cfg.times):
-        # ComplexField rejects non-finite samples before any reach a CSV
-        field = ComplexField(evaluate(x, t), grid)
-        _write_slice(cfg, out_dir, index, x, field.values, t)
-
-        if cfg.family == "square" and t != 0:
-            # Dp is infinite for the square packet and Dx exists only at the
-            # discontinuity instant; report the honest non-values.
-            mean_x = mean_r = delta_x = math.nan
-            delta_p = math.inf
-        else:
-            try:
-                m = moments(field, params)
-                mean_x, mean_r = m.mean_x, m.mean_r
-                delta_x, delta_p = m.delta_x, m.delta_p
-            except ValueError:
-                # moments are unreliable on an undersized grid (already warned
-                # about) and for the sampled square at t = 0, whose norm misses
-                # the tolerance unless a is a multiple of the grid step
-                if not (warnings or cfg.family == "square"):
-                    raise
-                mean_x = mean_r = delta_x = delta_p = math.nan
-        short_bound, asym_bound = _bound_columns(cfg, t, delta_p, delta_x0)
-        summary_rows.append([t, delta_x, delta_p, mean_x, mean_r, short_bound, asym_bound])
-
-    _write_csv(
-        out_dir / f"{cfg.scenario}_summary.csv",
-        ["t", "delta_x", "delta_p", "mean_x", "mean_r", "short_time_bound", "asymptotic_bound"],
-        summary_rows,
-    )
-    return EXIT_OK
-
-
-def _run_measurement_scenario(cfg: ScenarioConfig, grid: Grid, evaluate, out_dir: Path) -> int:
-    params = cfg.params
-    x = grid.points
-    psi0 = sample(evaluate, grid, 0.0)
-    m0 = moments(psi0, params)
-
-    if cfg.scenario == "spread-law":
-        law = spread_law_from_state(m0, params, 0.0)
-        rows = []
-        for index, t in enumerate(cfg.times):
-            evolved = propagate_spectral(psi0, t, params).field
-            _write_slice(cfg, out_dir, index, x, evolved.values, t)
-            measured = moments(evolved, params)
-            predicted = spread_prediction(law, params, t)
-            gap = abs(measured.delta_x - predicted) / predicted
-            rows.append(
-                [t, measured.delta_x, predicted, gap, measured.delta_p, measured.mean_x, measured.mean_r]
-            )
-        _write_csv(
-            out_dir / f"{cfg.scenario}_summary.csv",
-            ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"],
-            rows,
-        )
-        return EXIT_OK
-
-    # bounds scenario
-    phi0 = to_momentum(psi0, params)
+    centered = Grid.centered_offset if cfg.family == "square" else Grid.centered
+    grid = centered(cfg.half_width, cfg.grid_n)
+    summary = _SCENARIO_TABLE[cfg.scenario].summary
+    header, slice_at = summary(cfg, grid, _family_evaluator(cfg), bool(warnings))
     rows = []
     for index, t in enumerate(cfg.times):
-        exact = propagate_spectral(psi0, t, params).field
-        _write_slice(cfg, out_dir, index, x, exact.values, t)
-        translated = short_time_approx(psi0, t, params, pbar=m0.mean_p).field
-        short_sup = float(np.max(np.abs(exact.values - translated.values) ** 2))
-        short_bound = (
-            short_time_error_bound(m0.delta_p, abs(t), params)
-            if math.isfinite(m0.delta_p)
-            else math.inf
-        )
-        if t > 0:
-            asym = asymptotic_form(phi0, m0.mean_x, t, params).field
-            asym_sup = float(np.max(np.abs(exact.values - asym.values) ** 2))
-            asym_bound = asymptotic_error_bound(m0.delta_x, t, params)
-        else:
-            asym_sup = math.nan
-            asym_bound = math.inf
-        rows.append([t, short_bound, short_sup, asym_bound, asym_sup])
-    _write_csv(
-        out_dir / f"{cfg.scenario}_summary.csv",
-        ["t", "short_time_bound", "short_sup_dpsi2", "asymptotic_bound", "asym_sup_dpsi2"],
-        rows,
-    )
+        field, row = slice_at(t)
+        _write_slice(cfg, out_dir, index, field, t)
+        rows.append(row)
+    _write_csv(out_dir / f"{cfg.scenario}_summary.csv", header, rows)
     return EXIT_OK
 
 
-def _write_slice(
-    cfg: ScenarioConfig, out_dir: Path, index: int, x: np.ndarray, values: np.ndarray, t: float
-):
+def _write_slice(cfg: ScenarioConfig, out_dir: Path, index: int, field, t: float):
     """One time slice as CSV (plus the rescaled pair for fig2/fig4) and optional SVG."""
+    x, values = field.grid.points, field.values
     density = np.abs(values) ** 2
     header = ["x", "re_psi", "im_psi", "density"]
     columns = [x, values.real, values.imag, density]
-    if cfg.scenario in ("fig2", "fig4"):
+    if _SCENARIO_TABLE[cfg.scenario].rescaled:
         header += ["x_over_t", "t_times_density"]
         columns += [x / t, t * density]
-    _write_csv(out_dir / f"{cfg.scenario}_t{index}.csv", header, np.column_stack(columns))
+    stem = out_dir / f"{cfg.scenario}_t{index}"
+    _write_csv(stem.with_suffix(".csv"), header, np.column_stack(columns))
     if "svg" in cfg.formats:
-        _write_svg(
-            out_dir / f"{cfg.scenario}_t{index}.svg",
-            x,
-            density,
-            f"{cfg.scenario}: density at t = {t:.17g}",
-        )
+        _write_svg(stem.with_suffix(".svg"), x, density, f"{cfg.scenario}: density at t = {t:.17g}")
 
 
 def main(argv=None) -> int:
@@ -519,9 +480,12 @@ def main(argv=None) -> int:
         description="Free wave-packet evolution scenarios; writes CSV (and optional SVG) artifacts.",
     )
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
+    # every flag but --config stores under the config key it overrides
     parser.add_argument("--scenario", choices=SCENARIOS, default=None, help="override scenario")
-    parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--strict", action="store_true", help="escalate warnings to exit code 3")
+    parser.add_argument("--out", dest="output.dir", metavar="OUT", help="override output directory")
+    parser.add_argument(
+        "--strict", action="store_const", const="true", help="escalate warnings to exit code 3"
+    )
     args = parser.parse_args(argv)
 
     text = ""
@@ -532,14 +496,7 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
 
-    overrides: dict[str, str] = {}
-    if args.scenario:
-        overrides["scenario"] = args.scenario
-    if args.out:
-        overrides["output.dir"] = args.out
-    if args.strict:
-        overrides["strict"] = "true"
-
+    overrides = {key: value for key, value in vars(args).items() if key in _KNOWN_KEYS and value}
     try:
         cfg = parse_config(text, overrides)
     except ConfigError as err:

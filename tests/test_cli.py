@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from freepacket import PhysicsParams, asymptotic_error_bound
 from freepacket.cli import (
     _KNOWN_KEYS,
     EXIT_CONFIG,
@@ -110,6 +111,14 @@ def test_bad_number_reports_field():
         parse_config("physics.mass = -2")
 
 
+@pytest.mark.parametrize(
+    "key", ["physics.hbar", "physics.mass", "family.tau", "family.a", "grid.half_width"]
+)
+def test_positivity_errors_carry_their_location(key):
+    with pytest.raises(ConfigError, match=f"^line 2: {key}: must be positive"):
+        parse_config(f"scenario = fig1\n{key} = 0")
+
+
 def test_formats_validation():
     cfg = parse_config("output.formats = svg, csv")
     assert cfg.formats == ("csv", "svg")
@@ -208,6 +217,25 @@ def test_fig4_rescaled_columns(tmp_path):
     np.testing.assert_allclose(
         column(rows, "t_times_density"), t * column(rows, "density"), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("config", ["scenario = fig4\ntimes = 0, 0.1", "scenario = fig2\ntimes = 0"])
+def test_rescaled_scenarios_reject_a_zero_time(tmp_path, capsys, config):
+    # x_over_t divides by t, so a zero time would write -inf/nan columns
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{config}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "no time may be 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_derivative_asymptotic_bound_uses_measured_initial_spread(tmp_path, n):
+    cfg = parse_config(f"family = derivative\nfamily.n = {n}\ntimes = 0, 1\noutput.dir = {tmp_path}")
+    assert run_scenario(cfg) == EXIT_OK
+    first, second = read_csv(tmp_path / "custom_summary.csv")
+    expected = asymptotic_error_bound(float(first["delta_x"]), 1.0, PhysicsParams())
+    assert float(second["asymptotic_bound"]) == pytest.approx(expected, rel=1e-6)
 
 
 def test_fig2_asymptotic_shape_freeze(tmp_path):
@@ -333,6 +361,15 @@ def test_main_nonfinite_or_overflowing_times(tmp_path, capsys, times, status, me
     cfg_path.write_text(f"times = {times}\noutput.dir = {tmp_path / 'out'}\n")
     assert main(["--config", str(cfg_path)]) == status
     assert message in capsys.readouterr().err
+
+
+def test_main_floating_point_error_exits_two(tmp_path, capsys):
+    # the Hermite-Gauss closed form overflows at this mass; the error must end
+    # in exit 2 with the CLI's own message, not numpy warnings on stderr
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = spread-law\nphysics.mass = 1e308\ngrid.n = 64\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error:")
 
 
 def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
@@ -475,7 +512,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 def test_default_outputs_match_per_value_format(tmp_path):
-    for scenario in ("fig1", "fig2", "fig3", "fig4", "spread-law"):
+    for scenario in SCENARIOS:
         out = tmp_path / scenario
         formats = "csv, svg" if scenario == "fig1" else "csv"
         cfg = parse_config(f"scenario = {scenario}\noutput.dir = {out}\noutput.formats = {formats}")
