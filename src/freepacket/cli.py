@@ -59,7 +59,6 @@ from .packets import (
     hermite_gauss,
     sample,
     square_exact,
-    square_initial,
 )
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario", "main"]
@@ -113,9 +112,16 @@ def _family_evaluator(cfg: ScenarioConfig):
     p = cfg.params
     if cfg.family == "square":
         fam = SquareFamily(params=p, a=cfg.a)
+        step = 2 * cfg.half_width / cfg.grid_n
 
         def evaluate(x, t):
-            return square_initial(fam, x) if t == 0 else square_exact(fam, x, t)
+            if t != 0:
+                return square_exact(fam, x, t)
+            # each t = 0 sample is the height times the root of the fraction
+            # of its cell inside |x| < a/2, so the sampled norm is 1 wherever
+            # the edges fall
+            covered = np.clip((cfg.a / 2 - np.abs(x)) / step + 0.5, 0.0, 1.0)
+            return np.sqrt(covered) / math.sqrt(cfg.a)
 
         return evaluate
     fam = GaussianFamily(params=p, tau=cfg.tau)
@@ -151,10 +157,8 @@ def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
                 m = moments(field, params)
                 mean_x, mean_r, delta_x, delta_p = m.mean_x, m.mean_r, m.delta_x, m.delta_p
             except ValueError:
-                # moments are unreliable on an undersized grid (already warned
-                # about) and for the sampled square at t = 0, whose norm misses
-                # the tolerance unless a is a multiple of the grid step
-                if not (warned or cfg.family == "square"):
+                # moments are unreliable on an undersized grid (already warned about)
+                if not warned:
                     raise
                 mean_x = mean_r = delta_x = delta_p = math.nan
         asym_bound = asymptotic_error_bound(delta_x0, abs(t), params) if t != 0 else math.inf

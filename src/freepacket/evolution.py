@@ -35,6 +35,7 @@ from .numerics import (
     Grid,
     PhysicsParams,
     Representation,
+    _require_position,
     _spectral_apply,
     from_momentum,
 )
@@ -63,11 +64,6 @@ class PropagationResult:
     field: ComplexField
     t: float
     method: Method
-
-
-def _require_position(f: ComplexField, who: str):
-    if f.representation is not Representation.POSITION:
-        raise ValueError(f"{who} expects a position-representation field")
 
 
 def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> PropagationResult:

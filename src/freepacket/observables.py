@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .numerics import ComplexField, PhysicsParams, Representation
+from .numerics import ComplexField, PhysicsParams, _require_position, _trapz
 
 __all__ = [
     "PacketMoments",
@@ -87,10 +87,6 @@ class Timescales:
     t_h: float
 
 
-def _trapz(values: np.ndarray, step: float) -> float:
-    return float((values.sum() - 0.5 * (values[0] + values[-1])) * step)
-
-
 def _second_moment_diverges(lattice, density, step, center, full) -> bool:
     # Compare the second moment `full` taken over the full lattice with the
     # one restricted to the inner half of the span; a converged moment does
@@ -118,8 +114,7 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with P psi the inverse
     FFT of that same spectrum times the lattice p in FFT order.
     """
-    if f.representation is not Representation.POSITION:
-        raise ValueError("moments expects a position-representation field")
+    _require_position(f, "moments")
     grid = f.grid
     density_x = np.abs(f.values) ** 2
     norm2 = _trapz(density_x, grid.step)

@@ -33,7 +33,7 @@ from .numerics import (
     HERMITE_MAX_ORDER,
     ComplexField,
     PhysicsParams,
-    Representation,
+    _require_position,
     fresnel,
     hermite,
     spectral_derivative,
@@ -144,8 +144,7 @@ def apply_b_dagger(f: ComplexField, fam: GaussianFamily, t: float) -> ComplexFie
     decayed at the grid edges.  Applied to a sampled chi(., t) the result is
     proportional to chi_1(., t), and so on up the ladder.
     """
-    if f.representation is not Representation.POSITION:
-        raise ValueError("apply_b_dagger expects a position-representation field")
+    _require_position(f, "apply_b_dagger")
     p = fam.params
     momentum_term = -1j * p.hbar * spectral_derivative(f, 1).values
     values = p.mass * f.grid.points * f.values - (t + 1j * fam.tau) * momentum_term
@@ -155,17 +154,14 @@ def apply_b_dagger(f: ComplexField, fam: GaussianFamily, t: float) -> ComplexFie
 def _derivative_norm_const(fam: GaussianFamily, n: int) -> float:
     # Unit L2 norm fixed at t = 0 (free evolution is unitary, so it holds
     # at every t):  ||kappa0^(n+1) H_n(kappa0 x) e^(-kappa0^2 x^2)||^2
-    #             = kappa0^(2n+1) * I_n,
-    # I_n = int H_n(u)^2 e^(-2u^2) du
-    #     = sqrt(pi/2) n!^2 sum_j 1/(4^j j!^2 (n-2j)!).
+    #             = kappa0^(2n+1) I_n,  I_n = int H_n(u)^2 e^(-2u^2) du
+    #             = 2^(n - 1/2) Gamma(n + 1/2),
+    # with kappa0^2 = m / (2 hbar tau); taken from logarithms, so no power
+    # over- or underflows on the way.
     p = fam.params
-    kappa0 = math.sqrt(p.mass / (2 * p.hbar * fam.tau))
-    series = sum(
-        1.0 / (4.0**j * math.factorial(j) ** 2 * math.factorial(n - 2 * j))
-        for j in range(n // 2 + 1)
-    )
-    i_n = math.sqrt(np.pi / 2) * math.factorial(n) ** 2 * series
-    return 1.0 / math.sqrt(kappa0 ** (2 * n + 1) * i_n)
+    log_kappa0 = 0.5 * (math.log(p.mass) - math.log(2.0) - math.log(p.hbar) - math.log(fam.tau))
+    log_norm2 = (2 * n + 1) * log_kappa0 + (n - 0.5) * math.log(2.0) + math.lgamma(n + 0.5)
+    return math.exp(-0.5 * log_norm2)
 
 
 def derivative_packet(fam: GaussianFamily, n: int, x, t: float):

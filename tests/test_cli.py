@@ -208,6 +208,19 @@ def test_fig3_square_summary(tmp_path):
     assert all(math.isnan(float(r["delta_x"])) for r in summary[1:])
 
 
+@pytest.mark.parametrize("a", [0.77, 0.98, 1.63])
+@pytest.mark.parametrize("grid_n", [2048, 8192])
+def test_square_t0_moments_when_edges_fall_inside_cells(tmp_path, a, grid_n):
+    # a/2 is no multiple of the grid step, so each edge cuts a cell
+    cfg = parse_config(f"scenario = fig3\nfamily.a = {a}\ngrid.n = {grid_n}\noutput.dir = {tmp_path}")
+    assert run_scenario(cfg) == EXIT_OK
+    delta_x = float(read_csv(tmp_path / "fig3_summary.csv")[0]["delta_x"])
+    assert math.isfinite(delta_x)
+    assert delta_x == pytest.approx(a / math.sqrt(12), rel=0.02)
+    rows = read_csv(tmp_path / "fig3_t0.csv")
+    assert np.trapezoid(column(rows, "density"), column(rows, "x")) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_fig4_rescaled_columns(tmp_path):
     cfg = parse_config(f"scenario = fig4\noutput.dir = {tmp_path}")
     assert run_scenario(cfg) == EXIT_OK

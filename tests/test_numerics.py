@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -151,6 +152,19 @@ def test_fresnel_derivative_is_integrand(u):
 def test_fresnel_rejects_nonfinite():
     with pytest.raises(ValueError):
         fresnel(math.inf)
+
+
+def test_fresnel_matches_mpmath_to_rounding():
+    # 40-digit reference on 401 evenly spaced points of |u| <= 60, plus u = +-1.6
+    # and its neighbouring doubles
+    near = np.array([1.6, np.nextafter(1.6, 0.0), np.nextafter(1.6, 2.0)])
+    u = np.concatenate([np.linspace(-60.0, 60.0, 401), near, -near])
+    with mpmath.workdps(40):
+        c_ref = np.array([float(mpmath.fresnelc(v)) for v in u])
+        s_ref = np.array([float(mpmath.fresnels(v)) for v in u])
+    c, s = fresnel(u)
+    assert np.max(np.abs(c - c_ref)) <= 1e-14
+    assert np.max(np.abs(s - s_ref)) <= 1e-14
 
 
 # ------------------------------------------------------------- transforms

@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from freepacket import (
     ComplexField,
+    GaussianFamily,
     Grid,
+    PhysicsParams,
     SquareFamily,
     apply_b_dagger,
     derivative_packet,
@@ -25,6 +27,7 @@ from freepacket import (
     square_momentum,
     to_momentum,
 )
+from freepacket.packets import _derivative_norm_const
 
 
 def cosine_similarity(a, b, step):
@@ -168,6 +171,35 @@ def test_derivative_packet_matches_spectral_derivative(gauss_fam, grid):
     second = spectral_derivative(f, 2).values
     closed = derivative_packet(gauss_fam, 2, grid.points, 0.0)
     assert cosine_similarity(second, closed, grid.step) > 1 - 1e-12
+
+
+def factorial_series_norm_const(fam, n):
+    # c_n = (kappa0^(2n+1) I_n)^(-1/2) with the power series
+    # I_n = sqrt(pi/2) n!^2 sum_j 1/(4^j j!^2 (n-2j)!)
+    p = fam.params
+    kappa0 = math.sqrt(p.mass / (2 * p.hbar * fam.tau))
+    series = sum(
+        1.0 / (4.0**j * math.factorial(j) ** 2 * math.factorial(n - 2 * j))
+        for j in range(n // 2 + 1)
+    )
+    i_n = math.sqrt(math.pi / 2) * math.factorial(n) ** 2 * series
+    return 1.0 / math.sqrt(kappa0 ** (2 * n + 1) * i_n)
+
+
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3), (1e-3, 5.0)])
+def test_derivative_norm_const_matches_factorial_series(hbar, mass):
+    for tau in np.logspace(-3, 3, 13):
+        fam = GaussianFamily(PhysicsParams(hbar=hbar, mass=mass), tau=tau)
+        for n in range(17):
+            expected = factorial_series_norm_const(fam, n)
+            assert _derivative_norm_const(fam, n) == pytest.approx(expected, rel=1e-13)
+
+
+def test_derivative_norm_const_at_tiny_hbar():
+    # kappa0^(2n+1) overflows a double here; the logarithms do not
+    fam = GaussianFamily(PhysicsParams(hbar=1e-300))
+    for n in range(17):
+        assert 0.0 <= _derivative_norm_const(fam, n) < math.inf
 
 
 # ------------------------------------------------------ asymptotic envelope
