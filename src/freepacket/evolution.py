@@ -35,6 +35,7 @@ from .numerics import (
     Grid,
     PhysicsParams,
     Representation,
+    _cis,
     _require_position,
     _spectral_apply,
     from_momentum,
@@ -77,7 +78,7 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SPECTRAL_EXACT)
     m, hbar = params.mass, params.hbar
-    values = _spectral_apply(psi0, hbar, lambda p: np.exp(-1j * p**2 * t / (2 * m * hbar)))
+    values = _spectral_apply(psi0, hbar, lambda p: _cis(-(p**2) * t * (1 / (2 * m * hbar))))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
@@ -100,7 +101,7 @@ def _free_kernel_sum(
     weighted[np.abs(weighted) < np.finfo(float).tiny] = 0
     a = m * grid.step**2 / (hbar * t)
     d = np.arange(1 - n, n)
-    chirp = np.exp(0.5j * a * (d * d))
+    chirp = _cis(0.5 * a * (d * d))
     return np.sqrt(m / (2j * np.pi * hbar * t)) * np.convolve(weighted, chirp, mode="valid")
 
 
@@ -143,8 +144,8 @@ def short_time_approx(
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
     m, hbar = params.mass, params.hbar
     shift = pbar * t / m
-    psi = _spectral_apply(psi0, hbar, lambda p: np.exp(-1j * p * shift / hbar))
-    values = np.exp(1j * pbar**2 * t / (2 * m * hbar)) * psi
+    psi = _spectral_apply(psi0, hbar, lambda p: _cis(-p * shift * (1 / hbar)))
+    values = _cis(pbar**2 * t / (2 * m * hbar)) * psi
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 
@@ -207,7 +208,7 @@ def asymptotic_form(
         raise ValueError("phi0 momentum lattice hbar does not match params.hbar")
     grid = phi0.grid
     psi0 = from_momentum(phi0, params).values
-    chirped = np.exp(-1j * params.mass * (grid.points - xbar) ** 2 / (2 * params.hbar * t)) * psi0
+    chirped = _cis(-params.mass * (grid.points - xbar) ** 2 * (1 / (2 * params.hbar * t))) * psi0
     values = _free_kernel_sum(chirped, grid, t, params)
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 

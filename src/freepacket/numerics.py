@@ -13,6 +13,13 @@ is diagonal in momentum (free evolution, translation, derivatives), so those
 are applied as one bare FFT pair with the momenta in FFT order, and the
 momentum density |phi|^2 is the bare |FFT|^2, reordered and scaled.  Every
 transform is scipy.fft's complex fft/ifft.
+
+Every pure phase exp(i theta) in the package (the propagator and the
+translation, the transform's x0 correction, the quadrature chirp, the
+Hermite-Gauss and Galilean phases) is _cis(theta): np.cos and np.sin
+written into one complex array, with no complex exp and no i*theta
+temporary.  The spectral multiply and the Hermite recurrence work in place,
+on buffers they allocated themselves.
 """
 
 from __future__ import annotations
@@ -151,6 +158,23 @@ def _require_position(f: ComplexField, who: str):
         raise ValueError(f"{who} expects a position-representation field")
 
 
+def _cis(theta):
+    """exp(i theta) for real theta: cos into the real part and sin into the
+    imaginary part of one new complex array.
+
+    np.exp(1j * theta) evaluates the same cos and sin, so the two agree to
+    one ulp (bitwise on the numpy builds measured).  numpy divides a complex
+    array by a real d as a multiply by 1/d, so callers write theta * (1 / d)
+    for a phase with a divisor, which keeps it what np.exp gave to the last
+    bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out if out.ndim else out[()]
+
+
 def _trapz(values: np.ndarray, step: float) -> float:
     """Trapezoid rule on a uniform lattice: endpoint samples at half weight."""
     return float((values.sum() - 0.5 * (values[0] + values[-1])) * step)
@@ -161,18 +185,31 @@ def hermite(n: int, x):
 
     H_{k+1}(x) = 2x H_k(x) - 2k H_{k-1}(x), stable for the oscillatory
     polynomials on the real line; x may be scalar or array, real or complex.
-    Supported for 0 <= n <= 64.
+    Integer and boolean x are evaluated in floating point (H_n outgrows
+    int64 for moderate n and x).  Each H_{k+1} is written over H_{k-1} in
+    place.  Supported for 0 <= n <= 64.
     """
     if not isinstance(n, (int, np.integer)) or n < 0 or n > HERMITE_MAX_ORDER:
         raise ValueError(f"Hermite order must be an integer in [0, {HERMITE_MAX_ORDER}], got {n}")
     x = np.asarray(x)
+    if x.dtype.kind in "biu":
+        x = x.astype(float)
     h_prev = np.ones_like(x)
     if n == 0:
         return h_prev if h_prev.ndim else h_prev[()]
-    h = 2 * x
+    two_x = 2 * x
+    if x.ndim == 0:
+        # numpy scalars are immutable and have their own arithmetic
+        h_prev, h = h_prev[()], two_x
+        for k in range(1, n):
+            h_prev, h = h, two_x * h - 2 * k * h_prev
+        return h
+    h, scratch = two_x.copy(), np.empty_like(two_x)
     for k in range(1, n):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-    return h if h.ndim else h[()]
+        h_prev *= 2 * k
+        np.subtract(np.multiply(two_x, h, out=scratch), h_prev, out=h_prev)
+        h_prev, h = h, h_prev
+    return h
 
 
 def fresnel(u):
@@ -201,7 +238,7 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     hbar = params.hbar
     p = g.momentum_points(hbar)
     spectrum = np.fft.fftshift(scipy.fft.fft(f.values))
-    phi = g.step / math.sqrt(2 * np.pi * hbar) * np.exp(-1j * p * g.x0 / hbar) * spectrum
+    phi = g.step / math.sqrt(2 * np.pi * hbar) * _cis(-p * g.x0 * (1 / hbar)) * spectrum
     return ComplexField(phi, g, Representation.MOMENTUM, hbar=hbar)
 
 
@@ -216,7 +253,7 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g = f.grid
     hbar = params.hbar
     p = g.momentum_points(hbar)
-    psi = scipy.fft.ifft(np.fft.ifftshift(np.exp(1j * p * g.x0 / hbar) * f.values))
+    psi = scipy.fft.ifft(np.fft.ifftshift(_cis(p * g.x0 * (1 / hbar)) * f.values))
     psi = math.sqrt(2 * np.pi * hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
 
@@ -231,7 +268,9 @@ def _spectral_apply(f: ComplexField, hbar: float, operator) -> np.ndarray:
     """
     n = f.grid.n
     p = f.grid.momentum_step(hbar) * np.fft.fftfreq(n, 1 / n)
-    return scipy.fft.ifft(operator(p) * scipy.fft.fft(f.values))
+    factor = operator(p)
+    spectrum = scipy.fft.fft(f.values)
+    return scipy.fft.ifft(np.multiply(factor, spectrum, out=spectrum), overwrite_x=True)
 
 
 def spectral_derivative(f: ComplexField, order: int) -> ComplexField:

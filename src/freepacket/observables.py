@@ -29,6 +29,12 @@ every other time); that instant is recognized by the phase-coherence ratio
 |int psi^2 dx| / int |psi|^2 dx, which equals 1 exactly for a packet that is
 real up to a global phase.  Away from it, Dx and <R> are reported as nan,
 never as a silently band-limit-dependent number.
+
+moments works in real arithmetic on the real and imaginary parts: both
+densities are re^2 + im^2, and the <R> integrand is
+(x - <x>)(Re psi Re P psi + Im psi Im P psi - <p> |psi|^2).  For a packet
+with finite moments the one spectrum, scaled by p and inverse-transformed in
+place, is the only field-sized complex array it forms.
 """
 
 from __future__ import annotations
@@ -91,12 +97,26 @@ def _second_moment_diverges(lattice, density, step, center, full) -> bool:
     # Compare the second moment `full` taken over the full lattice with the
     # one restricted to the inner half of the span; a converged moment does
     # not care, a fat-tailed one does.
-    span = lattice[-1] - lattice[0]
-    inner = np.abs(lattice - 0.5 * (lattice[0] + lattice[-1])) <= span / 4
-    restricted = float(np.sum(((lattice[inner] - center) ** 2 * density[inner])) * step)
+    n = lattice.size
+    inner = slice(n // 4, n - n // 4)
+    restricted = float(np.sum((lattice[inner] - center) ** 2 * density[inner]) * step)
     if full <= 0:
         return False
     return abs(full - restricted) / full > _P_DIVERGENCE_TOL
+
+
+def _momentum_moments(spectrum: np.ndarray, grid, hbar: float):
+    """<p>, Var p and whether the p^2 moment diverges, from the bare FFT of psi."""
+    scale = grid.step**2 / (2 * np.pi * hbar)
+    density_p = np.fft.fftshift(scale * (spectrum.real**2 + spectrum.imag**2))
+    p = grid.momentum_points(hbar)
+    dp = grid.momentum_step(hbar)
+    # First moment with the Nyquist bin dropped: that component belongs to
+    # +p_max and -p_max equally, and keeping it breaks the exact pairwise
+    # cancellation that makes <p> of a real packet vanish on the lattice.
+    mean_p = float(np.sum((p * density_p)[1:]) * dp)
+    var_p = _trapz((p - mean_p) ** 2 * density_p, dp)
+    return mean_p, var_p, _second_moment_diverges(p, density_p, dp, mean_p, var_p)
 
 
 def _at_real_instant(values: np.ndarray, density: np.ndarray) -> bool:
@@ -112,11 +132,13 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     step^2 / (2 pi hbar) |FFT|^2 on the centred lattice (the phase of
     to_momentum drops out of the modulus), and <R> is the inner product
     Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with P psi the inverse
-    FFT of that same spectrum times the lattice p in FFT order.
+    FFT of that same spectrum times the lattice p in FFT order, both steps
+    done in place on the spectrum.
     """
     _require_position(f, "moments")
     grid = f.grid
-    density_x = np.abs(f.values) ** 2
+    re, im = f.values.real, f.values.imag
+    density_x = re**2 + im**2
     norm2 = _trapz(density_x, grid.step)
     if abs(norm2 - 1.0) > _NORM_TOLERANCE:
         raise ValueError(f"field must be normalized to {_NORM_TOLERANCE}, got norm^2 = {norm2}")
@@ -127,25 +149,18 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
 
     hbar = params.hbar
     spectrum = scipy.fft.fft(f.values)
-    p = grid.momentum_points(hbar)
-    dp = grid.momentum_step(hbar)
-    density_p = np.fft.fftshift(grid.step**2 / (2 * np.pi * hbar) * np.abs(spectrum) ** 2)
-    # First moment with the Nyquist bin dropped: that component belongs to
-    # +p_max and -p_max equally, and keeping it breaks the exact pairwise
-    # cancellation that makes <p> of a real packet vanish on the lattice.
-    mean_p = float(np.sum((p * density_p)[1:]) * dp)
-    var_p = _trapz((p - mean_p) ** 2 * density_p, dp)
-
-    p_diverges = _second_moment_diverges(p, density_p, dp, mean_p, var_p)
+    mean_p, var_p, p_diverges = _momentum_moments(spectrum, grid, hbar)
     x_diverges = p_diverges and not _at_real_instant(f.values, density_x)
 
     if x_diverges:
         delta_x = math.nan
         mean_r = math.nan
     else:
-        p_psi = scipy.fft.ifft(np.fft.ifftshift(p) * spectrum)
-        integrand = np.conj(f.values) * (x - mean_x) * (p_psi - mean_p * f.values)
-        mean_r = _trapz(integrand.real, grid.step)
+        np.multiply(np.fft.ifftshift(grid.momentum_points(hbar)), spectrum, out=spectrum)
+        p_psi = scipy.fft.ifft(spectrum, overwrite_x=True)
+        # Re[psi* (P psi - <p> psi)] in real arithmetic
+        overlap = re * p_psi.real + im * p_psi.imag - mean_p * density_x
+        mean_r = _trapz((x - mean_x) * overlap, grid.step)
         delta_x = math.sqrt(max(var_x, 0.0))
 
     delta_p = math.inf if p_diverges else math.sqrt(max(var_p, 0.0))

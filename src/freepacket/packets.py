@@ -33,6 +33,7 @@ from .numerics import (
     HERMITE_MAX_ORDER,
     ComplexField,
     PhysicsParams,
+    _cis,
     _require_position,
     fresnel,
     hermite,
@@ -131,7 +132,7 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     log_norm = -0.25 * math.log(np.pi) - 0.5 * (math.log(g) + n * math.log(2.0) + math.lgamma(n + 1))
     return (
         math.exp(log_norm)
-        * np.exp(1j * (theta - (n + 0.5) * beta))
+        * _cis(theta - (n + 0.5) * beta)
         * np.exp(-(x**2) / (2 * g**2))
         * hermite(n, x / g)
     )
@@ -251,7 +252,7 @@ def galilean_boost(
     def boosted(x, t: float):
         x = np.asarray(x, dtype=float)
         dt = t - t0
-        phase = np.exp(1j / params.hbar * (p * x - p**2 * dt / (2 * params.mass)))
+        phase = _cis(1 / params.hbar * (p * x - p**2 * dt / (2 * params.mass)))
         return phase * xi(x - p * dt / params.mass, t)
 
     return boosted

@@ -28,6 +28,8 @@ from freepacket import (
     to_momentum,
 )
 
+from freepacket.numerics import HERMITE_MAX_ORDER, _cis
+
 from conftest import rel_l2_values
 
 
@@ -77,11 +79,68 @@ def test_hermite_vectorized():
     np.testing.assert_allclose(hermite(2, x), 4 * x**2 - 2)
 
 
+@pytest.mark.parametrize("n", range(HERMITE_MAX_ORDER + 1))
+def test_hermite_of_integers_equals_hermite_of_floats(n):
+    # H_30(3) = 1.25e22 and H_64(2) = -2.9e54 are far outside int64
+    x = np.arange(-5, 6)
+    expected = hermite(n, x.astype(float))
+    np.testing.assert_array_equal(hermite(n, x), expected)
+    assert [hermite(n, int(v)) for v in x] == list(expected)
+    np.testing.assert_array_equal(hermite(n, np.array([True, False])), hermite(n, np.array([1.0, 0.0])))
+
+
+def textbook_hermite(n, x):
+    """The recurrence with a new array per step, as first written."""
+    x = np.asarray(x)
+    h_prev = np.ones_like(x)
+    if n == 0:
+        return h_prev if h_prev.ndim else h_prev[()]
+    h = 2 * x
+    for k in range(1, n):
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+    return h if h.ndim else h[()]
+
+
+HERMITE_ARGUMENTS = {
+    "real-scalar": 1.37,
+    "complex-scalar": 2.1 - 0.8j,
+    "real-array": np.linspace(-5, 5, 201),
+    "complex-array": np.linspace(-5, 5, 201) + 1j * np.linspace(1.5, -1.5, 201),
+}
+
+
+@pytest.mark.parametrize("x", HERMITE_ARGUMENTS.values(), ids=HERMITE_ARGUMENTS.keys())
+def test_hermite_in_place_recurrence_is_bitwise_the_textbook_one(x):
+    for n in range(HERMITE_MAX_ORDER + 1):
+        got, expected = hermite(n, x), textbook_hermite(n, x)
+        assert type(got) is type(expected) and got.dtype == expected.dtype
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), n
+
+
 def test_hermite_domain_errors():
     with pytest.raises(ValueError):
         hermite(-1, 0.0)
     with pytest.raises(ValueError):
         hermite(65, 0.0)
+
+
+# ---------------------------------------------------------------- phases
+
+
+CIS_ANGLES = [0.0, 5e-324, 1.0, 1e3, 1e5, 1e7]
+
+
+@pytest.mark.parametrize("theta", CIS_ANGLES + [-a for a in CIS_ANGLES])
+def test_cis_equals_complex_exp_within_one_ulp(theta):
+    # spectral phases reach about 1e7 on 65536-point grids
+    rng = np.random.default_rng(17)
+    array = theta * rng.uniform(0.5, 1.0, 1000)
+    for arg in (theta, np.array(theta), array):
+        got, expected = _cis(arg), np.exp(1j * arg)
+        assert np.shape(got) == np.shape(expected) and np.asarray(got).dtype == complex
+        np.testing.assert_array_max_ulp(np.real(got), np.real(expected), maxulp=1)
+        np.testing.assert_array_max_ulp(np.imag(got), np.imag(expected), maxulp=1)
 
 
 # ---------------------------------------------------------------- fresnel

@@ -237,6 +237,16 @@ def test_moments_take_one_forward_and_one_inverse_transform(monkeypatch):
     assert calls == Counter(fft=1)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.7, 1e-3, 37.0])
+def test_inner_half_slice_is_the_centred_half_span_mask(hbar):
+    # the divergence check restricts the p^2 moment to [n/4, n - n/4)
+    for n in 2 ** np.arange(3, 21):
+        for g in (Grid.centered(64.0, n), Grid.centered_offset(6.4, n), Grid(x0=0.37, step=0.05, n=n)):
+            p = g.momentum_points(hbar)
+            mask = np.abs(p - 0.5 * (p[0] + p[-1])) <= (p[-1] - p[0]) / 4
+            np.testing.assert_array_equal(np.flatnonzero(mask), np.arange(n // 4, n - n // 4))
+
+
 # ------------------------------------------------------------- spread law
 
 
