@@ -18,8 +18,8 @@ Every pure phase exp(i theta) in the package (the propagator and the
 translation, the transform's x0 correction, the quadrature chirp, the
 Hermite-Gauss and Galilean phases) is _cis(theta): np.cos and np.sin
 written into one complex array, with no complex exp and no i*theta
-temporary.  The spectral multiply and the Hermite recurrence work in place,
-on buffers they allocated themselves.
+temporary.  The spectral multiply works in place, on the spectrum it
+allocated itself.
 """
 
 from __future__ import annotations
@@ -186,8 +186,7 @@ def hermite(n: int, x):
     H_{k+1}(x) = 2x H_k(x) - 2k H_{k-1}(x), stable for the oscillatory
     polynomials on the real line; x may be scalar or array, real or complex.
     Integer and boolean x are evaluated in floating point (H_n outgrows
-    int64 for moderate n and x).  Each H_{k+1} is written over H_{k-1} in
-    place.  Supported for 0 <= n <= 64.
+    int64 for moderate n and x).  Supported for 0 <= n <= 64.
     """
     if not isinstance(n, (int, np.integer)) or n < 0 or n > HERMITE_MAX_ORDER:
         raise ValueError(f"Hermite order must be an integer in [0, {HERMITE_MAX_ORDER}], got {n}")
@@ -197,19 +196,10 @@ def hermite(n: int, x):
     h_prev = np.ones_like(x)
     if n == 0:
         return h_prev if h_prev.ndim else h_prev[()]
-    two_x = 2 * x
-    if x.ndim == 0:
-        # numpy scalars are immutable and have their own arithmetic
-        h_prev, h = h_prev[()], two_x
-        for k in range(1, n):
-            h_prev, h = h, two_x * h - 2 * k * h_prev
-        return h
-    h, scratch = two_x.copy(), np.empty_like(two_x)
+    h = 2 * x
     for k in range(1, n):
-        h_prev *= 2 * k
-        np.subtract(np.multiply(two_x, h, out=scratch), h_prev, out=h_prev)
-        h_prev, h = h, h_prev
-    return h
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+    return h if h.ndim else h[()]
 
 
 def fresnel(u):

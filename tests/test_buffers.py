@@ -1,7 +1,7 @@
 """Inputs are never written to, and the field-sized temporaries stay few.
 
 Several kernels work in place on their own buffers (the spectral multiply,
-the Hermite recurrence, the <R> integrand of moments).  np.asarray(x,
+the <R> integrand of moments).  np.asarray(x,
 dtype=float) and ComplexField both alias a caller's array of the right
 dtype, so every evaluator and every field operation is checked to leave its
 input bitwise unchanged.  The allocation budgets pin the peak traced memory

@@ -89,35 +89,6 @@ def test_hermite_of_integers_equals_hermite_of_floats(n):
     np.testing.assert_array_equal(hermite(n, np.array([True, False])), hermite(n, np.array([1.0, 0.0])))
 
 
-def textbook_hermite(n, x):
-    """The recurrence with a new array per step, as first written."""
-    x = np.asarray(x)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else h_prev[()]
-    h = 2 * x
-    for k in range(1, n):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
-    return h if h.ndim else h[()]
-
-
-HERMITE_ARGUMENTS = {
-    "real-scalar": 1.37,
-    "complex-scalar": 2.1 - 0.8j,
-    "real-array": np.linspace(-5, 5, 201),
-    "complex-array": np.linspace(-5, 5, 201) + 1j * np.linspace(1.5, -1.5, 201),
-}
-
-
-@pytest.mark.parametrize("x", HERMITE_ARGUMENTS.values(), ids=HERMITE_ARGUMENTS.keys())
-def test_hermite_in_place_recurrence_is_bitwise_the_textbook_one(x):
-    for n in range(HERMITE_MAX_ORDER + 1):
-        got, expected = hermite(n, x), textbook_hermite(n, x)
-        assert type(got) is type(expected) and got.dtype == expected.dtype
-        assert np.shape(got) == np.shape(expected)
-        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), n
-
-
 def test_hermite_domain_errors():
     with pytest.raises(ValueError):
         hermite(-1, 0.0)
