@@ -132,16 +132,11 @@ def _family_evaluator(cfg: ScenarioConfig):
     return lambda x, t: derivative_packet(fam, cfg.family_order, x, t)
 
 
-def _short_time_bound(delta_p: float, t: float, params: PhysicsParams) -> float:
-    """The short-time bound at |t|: finite Dp gives the bound, otherwise inf."""
-    return short_time_error_bound(delta_p, abs(t), params) if math.isfinite(delta_p) else math.inf
+# A summary kind takes (cfg, grid, evaluate) and returns the summary header
+# and a function of t that gives the slice's field and summary row.
 
 
-# A summary kind takes (cfg, grid, evaluate, warned) and returns the summary
-# header and a function of t that gives the slice's field and summary row.
-
-
-def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate):
     params, delta_x0 = cfg.params, _initial_spread(cfg)
 
     def slice_at(t):
@@ -153,23 +148,17 @@ def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
             mean_x = mean_r = delta_x = math.nan
             delta_p = math.inf
         else:
-            try:
-                m = moments(field, params)
-                mean_x, mean_r, delta_x, delta_p = m.mean_x, m.mean_r, m.delta_x, m.delta_p
-            except ValueError:
-                # moments are unreliable on an undersized grid (already warned about)
-                if not warned:
-                    raise
-                mean_x = mean_r = delta_x = delta_p = math.nan
+            m = moments(field, params)
+            mean_x, mean_r, delta_x, delta_p = m.mean_x, m.mean_r, m.delta_x, m.delta_p
         asym_bound = asymptotic_error_bound(delta_x0, abs(t), params) if t != 0 else math.inf
-        short_bound = _short_time_bound(delta_p, t, params)
+        short_bound = short_time_error_bound(delta_p, abs(t), params)
         return field, [t, delta_x, delta_p, mean_x, mean_r, short_bound, asym_bound]
 
     header = ["t", "delta_x", "delta_p", "mean_x", "mean_r", "short_time_bound", "asymptotic_bound"]
     return header, slice_at
 
 
-def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate):
     params = cfg.params
     psi0 = sample(evaluate, grid, 0.0)
     law = spread_law_from_state(moments(psi0, params), params, 0.0)
@@ -184,7 +173,7 @@ def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
     return ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"], slice_at
 
 
-def _bounds(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
+def _bounds(cfg: ScenarioConfig, grid: Grid, evaluate):
     params = cfg.params
     psi0 = sample(evaluate, grid, 0.0)
     m0 = moments(psi0, params)
@@ -200,7 +189,7 @@ def _bounds(cfg: ScenarioConfig, grid: Grid, evaluate, warned: bool):
             asym_bound = asymptotic_error_bound(m0.delta_x, t, params)
         else:
             asym_sup, asym_bound = math.nan, math.inf
-        short_bound = _short_time_bound(m0.delta_p, t, params)
+        short_bound = short_time_error_bound(m0.delta_p, abs(t), params)
         return exact, [t, short_bound, short_sup, asym_bound, asym_sup]
 
     return ["t", "short_time_bound", "short_sup_dpsi2", "asymptotic_bound", "asym_sup_dpsi2"], slice_at
@@ -453,7 +442,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     centered = Grid.centered_offset if cfg.family == "square" else Grid.centered
     grid = centered(cfg.half_width, cfg.grid_n)
     summary = _SCENARIO_TABLE[cfg.scenario].summary
-    header, slice_at = summary(cfg, grid, _family_evaluator(cfg), bool(warnings))
+    header, slice_at = summary(cfg, grid, _family_evaluator(cfg))
     rows = []
     for index, t in enumerate(cfg.times):
         field, row = slice_at(t)

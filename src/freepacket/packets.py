@@ -23,6 +23,7 @@ real-positive where expected.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,13 +31,11 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    HERMITE_MAX_ORDER,
     ComplexField,
     PhysicsParams,
     _cis,
     _require_position,
     fresnel,
-    hermite,
     spectral_derivative,
 )
 
@@ -56,7 +55,7 @@ __all__ = [
     "sample",
 ]
 
-HERMITE_GAUSS_MAX_ORDER = HERMITE_MAX_ORDER
+HERMITE_GAUSS_MAX_ORDER = 64
 DERIVATIVE_MAX_ORDER = 16
 
 
@@ -112,6 +111,20 @@ def gaussian_chi(fam: GaussianFamily, x, t: float):
     return amp * np.exp(1j * p.mass * x**2 / (2 * p.hbar * (t - 1j * fam.tau)))
 
 
+def _hermite_functions(n: int, z, g):
+    """g H_n(z) / sqrt(2^n n!) for real or complex z, by the normalised recurrence
+
+        g_{k+1} = sqrt(2/(k+1)) z g_k - sqrt(k/(k+1)) g_{k-1},  g_0 = g, g_{-1} = 0
+
+    (DLMF 18.9.1 rescaled).  Every step stays of the size of the packet, so
+    where the Gaussian seed g underflows the result is 0, not inf * 0.
+    """
+    g_prev = 0.0
+    for k in range(n):
+        g_prev, g = g, math.sqrt(2 / (k + 1)) * z * g - math.sqrt(k / (k + 1)) * g_prev
+    return g
+
+
 def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     """Shape-invariant Hermite-Gauss packet chi_n(x,t), unit norm for every t.
 
@@ -127,15 +140,9 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
         raise ValueError(f"order must be an integer in [0, {HERMITE_GAUSS_MAX_ORDER}], got {n}")
     x = np.asarray(x, dtype=float)
     g = fam.gamma(t)
-    beta = fam.beta(t)
-    theta = t * x**2 / (2 * fam.tau * g**2)
-    log_norm = -0.25 * math.log(np.pi) - 0.5 * (math.log(g) + n * math.log(2.0) + math.lgamma(n + 1))
-    return (
-        math.exp(log_norm)
-        * _cis(theta - (n + 0.5) * beta)
-        * np.exp(-(x**2) / (2 * g**2))
-        * hermite(n, x / g)
-    )
+    u = x / g
+    values = _hermite_functions(n, u, np.pi**-0.25 / math.sqrt(g) * np.exp(-0.5 * u**2))
+    return _cis(t * x**2 / (2 * fam.tau * g**2) - (n + 0.5) * fam.beta(t)) * values
 
 
 def apply_b_dagger(f: ComplexField, fam: GaussianFamily, t: float) -> ComplexField:
@@ -152,19 +159,6 @@ def apply_b_dagger(f: ComplexField, fam: GaussianFamily, t: float) -> ComplexFie
     return ComplexField(values, f.grid)
 
 
-def _derivative_norm_const(fam: GaussianFamily, n: int) -> float:
-    # Unit L2 norm fixed at t = 0 (free evolution is unitary, so it holds
-    # at every t):  ||kappa0^(n+1) H_n(kappa0 x) e^(-kappa0^2 x^2)||^2
-    #             = kappa0^(2n+1) I_n,  I_n = int H_n(u)^2 e^(-2u^2) du
-    #             = 2^(n - 1/2) Gamma(n + 1/2),
-    # with kappa0^2 = m / (2 hbar tau); taken from logarithms, so no power
-    # over- or underflows on the way.
-    p = fam.params
-    log_kappa0 = 0.5 * (math.log(p.mass) - math.log(2.0) - math.log(p.hbar) - math.log(fam.tau))
-    log_norm2 = (2 * n + 1) * log_kappa0 + (n - 0.5) * math.log(2.0) + math.lgamma(n + 0.5)
-    return math.exp(-0.5 * log_norm2)
-
-
 def derivative_packet(fam: GaussianFamily, n: int, x, t: float):
     """Normalized n-th derivative packet, proportional to d^n chi / dx^n.
 
@@ -177,8 +171,14 @@ def derivative_packet(fam: GaussianFamily, n: int, x, t: float):
         raise ValueError(f"order must be an integer in [0, {DERIVATIVE_MAX_ORDER}], got {n}")
     x = np.asarray(x, dtype=float)
     kappa = fam.kappa(t)
-    c_n = _derivative_norm_const(fam, n)
-    return c_n * kappa ** (n + 1) * hermite(n, kappa * x) * np.exp(-(kappa**2) * x**2)
+    # c_n kappa^(n+1) sqrt(2^n n!) from logarithms, with c_n fixed at t = 0 by
+    # ||kappa0^(n+1) H_n(kappa0 x) e^(-kappa0^2 x^2)||^2 = kappa0^(2n+1) 2^(n-1/2) Gamma(n+1/2)
+    p = fam.params
+    log_kappa0 = 0.5 * (math.log(p.mass) - math.log(2.0) - math.log(p.hbar) - math.log(fam.tau))
+    log_c = (n + 1) * cmath.log(kappa) - (n + 0.5) * log_kappa0 + 0.25 * math.log(2.0)
+    log_c += 0.5 * (math.lgamma(n + 1) - math.lgamma(n + 0.5))
+    z = kappa * x
+    return _hermite_functions(n, z, np.exp(-(z**2))) * cmath.exp(log_c)
 
 
 def derivative_packet_asymptote(fam: GaussianFamily, x, t: float):

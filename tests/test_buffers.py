@@ -127,6 +127,7 @@ BUDGETS_MIB = {
     "short_time_approx": (2.5, lambda f, x: short_time_approx(f, 0.1, PARAMS, 0.5)),
     "to_momentum": (3.5, lambda f, x: to_momentum(f, PARAMS)),
     "hermite_gauss": (4.0, lambda f, x: hermite_gauss(BIG_FAM, 5, x, 0.3)),
+    "derivative_packet": (5.0, lambda f, x: derivative_packet(BIG_FAM, 6, x, 0.3)),
     "galilean_boost": (
         3.5,
         lambda f, x: galilean_boost(lambda y, t: gaussian_chi(BIG_FAM, y, t), 1.5, 0.0, PARAMS)(x, 0.3),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from freepacket import (
     derivative_packet_asymptote,
     galilean_boost,
     gaussian_chi,
+    hermite,
     hermite_gauss,
     moments,
     propagate_quadrature,
@@ -27,7 +29,6 @@ from freepacket import (
     square_momentum,
     to_momentum,
 )
-from freepacket.packets import _derivative_norm_const
 
 
 def cosine_similarity(a, b, step):
@@ -187,19 +188,57 @@ def factorial_series_norm_const(fam, n):
 
 
 @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3), (1e-3, 5.0)])
-def test_derivative_norm_const_matches_factorial_series(hbar, mass):
+def test_derivative_packet_matches_factorial_series(hbar, mass):
+    # at t = 0 the packet is c_n kappa0^(n+1) H_n(kappa0 x) exp(-kappa0^2 x^2)
     for tau in np.logspace(-3, 3, 13):
         fam = GaussianFamily(PhysicsParams(hbar=hbar, mass=mass), tau=tau)
+        kappa0 = math.sqrt(mass / (2 * hbar * tau))
+        x = np.linspace(-6, 6, 241) / kappa0
         for n in range(17):
-            expected = factorial_series_norm_const(fam, n)
-            assert _derivative_norm_const(fam, n) == pytest.approx(expected, rel=1e-13)
+            expected = (
+                factorial_series_norm_const(fam, n)
+                * kappa0 ** (n + 1)
+                * hermite(n, kappa0 * x)
+                * np.exp(-((kappa0 * x) ** 2))
+            )
+            values = derivative_packet(fam, n, x, 0.0)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-13 * scale)
 
 
-def test_derivative_norm_const_at_tiny_hbar():
-    # kappa0^(2n+1) overflows a double here; the logarithms do not
-    fam = GaussianFamily(PhysicsParams(hbar=1e-300))
-    for n in range(17):
-        assert 0.0 <= _derivative_norm_const(fam, n) < math.inf
+@pytest.mark.parametrize("physics", [{"hbar": 1e-300}, {"mass": 1e300}], ids=["hbar", "mass"])
+@pytest.mark.parametrize("n", [0, 2, 16])
+def test_derivative_packet_at_extreme_physics(physics, n):
+    # kappa0^(n+1) and H_n(kappa0 x) alone overflow a double here; the packet does not
+    fam = GaussianFamily(PhysicsParams(**physics))
+    kappa0 = fam.kappa(0.0).real
+    grid = Grid.centered(40 / kappa0, 2048)
+    for t in (0.0, 0.3):
+        f = sample(lambda x, tt: derivative_packet(fam, n, x, tt), grid, t)
+        assert np.all(np.isfinite(f.values))
+        assert quadrature_norm2(f) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_far_tail_is_zero_without_warning(gauss_fam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermite_gauss(gauss_fam, 64, [1e6], 0.0)[0] == 0
+        assert derivative_packet(gauss_fam, 16, [1e20], 0.3)[0] == 0
+
+
+def test_narrow_hermite_gauss_is_finite_across_a_wide_grid():
+    # gamma = 1e-3 on the lattice of Grid.centered(64, 2**22): the core
+    # carries the norm, the far points reach the grid edge
+    fam = GaussianFamily(PhysicsParams(), tau=1e-6)
+    step = 128 / 2**22
+    core = step * np.arange(-1700, 1700)
+    far = np.linspace(0.06, 64, 1001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = hermite_gauss(fam, 64, core, 0.0)
+        tail = hermite_gauss(fam, 64, np.concatenate([-far, far]), 0.0)
+    assert np.sum(np.abs(values) ** 2) * step == pytest.approx(1.0, abs=1e-10)
+    assert np.all(tail == 0)
 
 
 # ------------------------------------------------------ asymptotic envelope
