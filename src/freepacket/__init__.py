@@ -5,94 +5,16 @@ the short-time and large-time approximations with their rigorous error
 bounds, and the closed-form packet families (shape-invariant Hermite-Gauss
 packets, shape-changing derivative packets, the square packet with its
 Fresnel-integral evolution).
+
+Each layer's `__all__` is its public API; the package re-exports all four.
 """
 
-from .evolution import (
-    Method,
-    PropagationResult,
-    asymptotic_error_bound,
-    asymptotic_form,
-    propagate_quadrature,
-    propagate_spectral,
-    short_time_approx,
-    short_time_error_bound,
-)
-from .numerics import (
-    ComplexField,
-    Grid,
-    PhysicsParams,
-    Representation,
-    fresnel,
-    from_momentum,
-    hermite,
-    quadrature_norm2,
-    spectral_derivative,
-    to_momentum,
-)
-from .observables import (
-    PacketMoments,
-    SpreadLaw,
-    Timescales,
-    moments,
-    spread_law_from_state,
-    spread_prediction,
-    timescale_tx_initial,
-    timescales,
-)
-from .packets import (
-    GaussianFamily,
-    SquareFamily,
-    apply_b_dagger,
-    derivative_packet,
-    derivative_packet_asymptote,
-    galilean_boost,
-    gaussian_chi,
-    hermite_gauss,
-    sample,
-    square_exact,
-    square_initial,
-    square_momentum,
-)
+from . import evolution, numerics, observables, packets
+from .evolution import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .observables import *  # noqa: F403
+from .packets import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexField",
-    "GaussianFamily",
-    "Grid",
-    "Method",
-    "PacketMoments",
-    "PhysicsParams",
-    "PropagationResult",
-    "Representation",
-    "SpreadLaw",
-    "SquareFamily",
-    "Timescales",
-    "apply_b_dagger",
-    "asymptotic_error_bound",
-    "asymptotic_form",
-    "derivative_packet",
-    "derivative_packet_asymptote",
-    "fresnel",
-    "from_momentum",
-    "galilean_boost",
-    "gaussian_chi",
-    "hermite",
-    "hermite_gauss",
-    "moments",
-    "propagate_quadrature",
-    "propagate_spectral",
-    "quadrature_norm2",
-    "sample",
-    "short_time_approx",
-    "short_time_error_bound",
-    "spectral_derivative",
-    "spread_law_from_state",
-    "spread_prediction",
-    "square_exact",
-    "square_initial",
-    "square_momentum",
-    "timescale_tx_initial",
-    "timescales",
-    "to_momentum",
-]
+__all__ = sorted({*evolution.__all__, *numerics.__all__, *observables.__all__, *packets.__all__})

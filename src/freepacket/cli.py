@@ -19,8 +19,9 @@ Config files are line-oriented `key = value` with dotted keys and `#`
 comments; command-line flags override file values.  Times in config files are
 in natural units: tau for the Gaussian families, m a^2/hbar for the square.
 The rescaled scenarios (fig2, fig4) divide by t, so a time of 0 is a config
-error.  The initial spread behind the half-width warning and the asymptotic
-bound is exact for every family; for derivative packets it is
+error.  A run warns when the grid is narrower than 10 initial spreads or its
+step wider than one; the initial spread behind both warnings and the
+asymptotic bound is exact for every family; for derivative packets it is
 Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
 by zero or invalid operation while running is a runtime error (exit 2).
 CSV numbers carry 17 significant digits so doubles round-trip exactly and
@@ -34,7 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -75,27 +76,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    hbar: float
-    mass: float
-    family: str
-    family_order: int | None
-    tau: float
-    a: float
-    grid_n: int
-    half_width: float
-    times: tuple[float, ...]  # absolute units
-    out_dir: str
-    formats: tuple[str, ...]
-    strict: bool
-
-    @property
-    def params(self) -> PhysicsParams:
-        return PhysicsParams(hbar=self.hbar, mass=self.mass)
-
-
 def _initial_spread(cfg: ScenarioConfig) -> float:
     p, n = cfg.params, cfg.family_order
     if cfg.family == "square":
@@ -105,7 +85,10 @@ def _initial_spread(cfg: ScenarioConfig) -> float:
         return gamma0 / math.sqrt(2.0)
     if cfg.family == "hermite-gauss":
         return gamma0 * math.sqrt(n + 0.5)
-    return math.sqrt((4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass))
+    variance = (4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass)
+    if 0 < variance < math.inf:
+        return math.sqrt(variance)
+    return gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))  # (4n - 2) m overflowed
 
 
 def _family_evaluator(cfg: ScenarioConfig):
@@ -222,8 +205,9 @@ _SCENARIO_TABLE = {
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
-# Key parsers take the raw text and the values of the keys above it in the
-# key table; they raise ConfigError without a location, which parse_config adds.
+# Key parsers take the raw text and the values of the keys of the ScenarioConfig
+# fields above theirs; they raise ConfigError without a location, which
+# parse_config adds.
 
 
 def _preset(cfg: dict) -> _Scenario:
@@ -270,9 +254,15 @@ def _family(text: str, cfg: dict) -> str:
     return family
 
 
+# the families that take an order, and its largest value
+_ORDER_LIMITS = {"hermite-gauss": HERMITE_GAUSS_MAX_ORDER, "derivative": DERIVATIVE_MAX_ORDER}
+
+
 def _order(text: str, cfg: dict) -> int:
-    order, family = _integer(text), cfg["family"]
-    limit = DERIVATIVE_MAX_ORDER if family == "derivative" else HERMITE_GAUSS_MAX_ORDER
+    family = cfg["family"]
+    if family not in _ORDER_LIMITS:
+        raise ConfigError(f"family {family} takes no order")
+    order, limit = _integer(text), _ORDER_LIMITS[family]
     if not 0 <= order <= limit:
         raise ConfigError(f"order for family {family} must be in [0, {limit}]")
     return order
@@ -323,25 +313,37 @@ def _boolean(text: str, cfg: dict) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-# key -> (parser, default), in ScenarioConfig field order.  A callable default
-# is derived from the keys above it: from the scenario's row, and order 2 for
-# the families that take an order.
-_KEY_TABLE = {
-    "scenario": (_one_of(SCENARIOS), "custom"),
-    "physics.hbar": (_positive, 1.0),
-    "physics.mass": (_positive, 1.0),
-    "family": (_family, lambda cfg: _preset(cfg).family),
-    "family.n": (_order, lambda cfg: 2 if cfg["family"] in ("hermite-gauss", "derivative") else None),
-    "family.tau": (_positive, 1.0),
-    "family.a": (_positive, 1.0),
-    "grid.n": (_power_of_two, 4096),
-    "grid.half_width": (_positive, lambda cfg: _preset(cfg).half_width),
-    "times": (_times, lambda cfg: _absolute_times(_preset(cfg).times, cfg)),
-    "output.dir": (lambda text, cfg: text, "out"),
-    "output.formats": (_formats, ("csv",)),
-    "strict": (_boolean, False),
-}
-_KNOWN_KEYS = _KEY_TABLE.keys()
+def _key(key: str, parse: Callable, default):
+    """A field read from config `key` by `parse(text, cfg)`; a callable default reads cfg."""
+    return field(metadata={"config": (key, parse, default)})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    scenario: str = _key("scenario", _one_of(SCENARIOS), "custom")
+    hbar: float = _key("physics.hbar", _positive, 1.0)
+    mass: float = _key("physics.mass", _positive, 1.0)
+    family: str = _key("family", _family, lambda cfg: _preset(cfg).family)
+    family_order: int | None = _key(
+        "family.n", _order, lambda cfg: 2 if cfg["family"] in _ORDER_LIMITS else None
+    )
+    tau: float = _key("family.tau", _positive, 1.0)
+    a: float = _key("family.a", _positive, 1.0)
+    grid_n: int = _key("grid.n", _power_of_two, 4096)
+    half_width: float = _key("grid.half_width", _positive, lambda cfg: _preset(cfg).half_width)
+    times: tuple[float, ...] = _key(  # absolute units
+        "times", _times, lambda cfg: _absolute_times(_preset(cfg).times, cfg)
+    )
+    out_dir: str = _key("output.dir", lambda text, cfg: text, "out")
+    formats: tuple[str, ...] = _key("output.formats", _formats, ("csv",))
+    strict: bool = _key("strict", _boolean, False)
+
+    @property
+    def params(self) -> PhysicsParams:
+        return PhysicsParams(hbar=self.hbar, mass=self.mass)
+
+
+_KNOWN_KEYS = frozenset(f.metadata["config"][0] for f in fields(ScenarioConfig))
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> ScenarioConfig:
@@ -370,7 +372,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
         raw[key] = (value, f"flag {key}")
 
     cfg: dict = {}
-    for key, (parse, default) in _KEY_TABLE.items():
+    for f in fields(ScenarioConfig):
+        key, parse, default = f.metadata["config"]
         try:
             if key in raw:
                 cfg[key] = parse(raw[key][0], cfg)
@@ -416,6 +419,25 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
         )
 
 
+def _grid_warnings(cfg: ScenarioConfig) -> list[str]:
+    """The grid must hold the packet many spreads wide and resolve it."""
+    warnings, spread = [], _initial_spread(cfg)
+    if cfg.half_width < 10.0 * spread:
+        warnings.append(
+            f"grid.half_width = {cfg.half_width} is below 10 x initial spread "
+            f"({10.0 * spread:.3g}); moments may be unreliable"
+        )
+    step = 2 * cfg.half_width / cfg.grid_n
+    if step > spread:
+        # the smallest grid.n and the largest grid.half_width with step <= spread
+        k = math.ceil(1 + math.log2(cfg.half_width) - math.log2(spread)) if spread else math.inf
+        warnings.append(
+            f"grid step 2 x grid.half_width / grid.n = {step:.3g} exceeds the initial spread "
+            f"({spread:.3g}); it needs grid.n >= 2^{k} or grid.half_width <= {spread * cfg.grid_n / 2}"
+        )
+    return warnings
+
+
 @np.errstate(over="raise", divide="raise", invalid="raise", under="ignore")
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Compute one scenario and write its slice and summary files.
@@ -424,13 +446,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     lets numerical errors propagate, floating-point ones as FloatingPointError
     (the command-line wrapper maps those to exit code 2).
     """
-    warnings: list[str] = []
-    min_half_width = 10.0 * _initial_spread(cfg)
-    if cfg.half_width < min_half_width:
-        warnings.append(
-            f"grid.half_width = {cfg.half_width} is below 10 x initial spread "
-            f"({min_half_width:.3g}); moments may be unreliable"
-        )
+    warnings = _grid_warnings(cfg)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     if warnings and cfg.strict:

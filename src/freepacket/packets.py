@@ -40,7 +40,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "PhysicsParams",
     "GaussianFamily",
     "SquareFamily",
     "gaussian_chi",
@@ -67,8 +66,8 @@ class GaussianFamily:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def gamma(self, t: float) -> float:
         """Time-varying length scale gamma(t) = sqrt(hbar (t^2+tau^2)/(m tau))."""
@@ -99,8 +98,8 @@ class SquareFamily:
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
 
 
 def gaussian_chi(fam: GaussianFamily, x, t: float):

@@ -1,6 +1,8 @@
 import csv
 import math
 import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from freepacket.cli import (
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    _grid_warnings,
+    _initial_spread,
     _write_csv,
     _write_svg,
     main,
@@ -92,6 +96,59 @@ def test_family_order_limits():
         parse_config("family = derivative\nfamily.n = 17")
     cfg = parse_config("family = hermite-gauss\nfamily.n = 64")
     assert cfg.family_order == 64
+
+
+@pytest.mark.parametrize("family", ["gaussian", "square"])
+def test_family_order_is_rejected_where_the_family_takes_none(tmp_path, capsys, family):
+    with pytest.raises(ConfigError, match=f"^line 2: family.n: family {family} takes no order"):
+        parse_config(f"family = {family}\nfamily.n = 60")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"family = {family}\nfamily.n = 2\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "family.n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_each_config_key_fills_its_own_field():
+    document = {
+        "scenario": "bounds",
+        "physics.hbar": "0.5",
+        "physics.mass": "3",
+        "family": "hermite-gauss",
+        "family.n": "5",
+        "family.tau": "2",
+        "family.a": "7",
+        "grid.n": "256",
+        "grid.half_width": "9",
+        "times": "1, 3",
+        "output.dir": "elsewhere",
+        "output.formats": "svg",
+        "strict": "yes",
+    }
+    assert set(document) == _KNOWN_KEYS
+    expected = ScenarioConfig(
+        scenario="bounds",
+        hbar=0.5,
+        mass=3.0,
+        family="hermite-gauss",
+        family_order=5,
+        tau=2.0,
+        a=7.0,
+        grid_n=256,
+        half_width=9.0,
+        times=(2.0, 6.0),
+        out_dir="elsewhere",
+        formats=("svg",),
+        strict=True,
+    )
+    assert parse_config("\n".join(f"{key} = {text}" for key, text in document.items())) == expected
+
+
+def test_readme_lists_the_config_keys_in_field_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Keys and defaults:", 1)[1].split("```")[1]
+    keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line.split("#")[0]]
+    assert keys == [f.metadata["config"][0] for f in fields(ScenarioConfig)]
 
 
 def test_times_must_be_nonempty():
@@ -332,20 +389,19 @@ def test_lenient_run_with_unnormalized_moments_exits_two(tmp_path, capsys):
     assert not (tmp_path / "x" / "fig1_summary.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "config, finite",
-    [
-        (
-            "physics.hbar = 1e-300\nfamily = derivative\nfamily.n = 6\ngrid.half_width = 1e-148",
-            ("delta_x", "delta_p", "mean_x", "mean_r"),
-        ),
-        (
-            "scenario = bounds\nphysics.hbar = 1e-300\ngrid.half_width = 1e-147",
-            ("short_time_bound", "short_sup_dpsi2", "asymptotic_bound", "asym_sup_dpsi2"),
-        ),
-    ],
-    ids=["custom", "bounds"],
-)
+_TINY_HBAR = {
+    "custom": (
+        "physics.hbar = 1e-300\nfamily = derivative\nfamily.n = 6\ngrid.half_width = 1e-148",
+        ("delta_x", "delta_p", "mean_x", "mean_r"),
+    ),
+    "bounds": (
+        "scenario = bounds\nphysics.hbar = 1e-300\ngrid.half_width = 1e-147",
+        ("short_time_bound", "short_sup_dpsi2", "asymptotic_bound", "asym_sup_dpsi2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("config, finite", _TINY_HBAR.values(), ids=list(_TINY_HBAR))
 def test_derivative_packets_at_tiny_hbar_run(tmp_path, config, finite):
     # kappa0 is about 7e149 here, so these grids resolve the packet
     cfg = parse_config(f"{config}\noutput.dir = {tmp_path}")
@@ -354,6 +410,60 @@ def test_derivative_packets_at_tiny_hbar_run(tmp_path, config, finite):
     rows = read_csv(summary)
     for name in finite:
         assert np.all(np.isfinite(column(rows, name))), name
+
+
+# packets narrower than the default grid's step
+_UNRESOLVED = {
+    # Hermite-Gauss n = 64 at tau = 1e-6 has Dx0 = 0.008 against a step of 0.031
+    "narrow-hermite-gauss": "family = hermite-gauss\nfamily.n = 64\nfamily.tau = 1e-6",
+    # at this mass the derivative packet has Dx0 = 1.1e-154 against a step of 2
+    "heavy-derivative": "scenario = spread-law\nfamily = derivative\nphysics.mass = 1e308\ngrid.n = 64",
+}
+
+
+@pytest.mark.parametrize("config", _UNRESOLVED.values(), ids=list(_UNRESOLVED))
+def test_a_step_wider_than_the_packet_is_warned_and_strict_stops(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{config}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path), "--strict"]) == EXIT_STRICT
+    assert not (tmp_path / "out").exists()
+    warning = capsys.readouterr().err.splitlines()[0]
+    assert warning.startswith("warning: grid step") and "grid.n >= 2^" in warning
+    # without --strict the run goes on and its own failure follows the warning
+    assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines()[0] == warning
+
+
+@pytest.mark.parametrize("config", _UNRESOLVED.values(), ids=list(_UNRESOLVED))
+def test_the_grid_named_by_the_step_warning_clears_it(config):
+    cfg = parse_config(config)
+    (warning,) = _grid_warnings(cfg)
+    k, half_width = re.search(r"grid\.n >= 2\^(\d+) or grid\.half_width <= (\S+)$", warning).groups()
+    assert not _grid_warnings(replace(cfg, grid_n=2 ** int(k)))
+    assert _grid_warnings(replace(cfg, grid_n=2 ** (int(k) - 1)))
+    assert not _grid_warnings(replace(cfg, half_width=float(half_width)))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(f"scenario = {scenario}" for scenario in SCENARIOS),
+        # the benchmark's figures configs at their narrowest packets and coarsest grid
+        *(
+            f"scenario = {scenario}\nfamily.tau = 0.5\nfamily.a = 0.5\ngrid.n = 2048"
+            for scenario in ("fig1", "fig2", "fig3", "fig4", "spread-law")
+        ),
+        *(config for config, _ in _TINY_HBAR.values()),
+    ],
+)
+def test_grid_checks_are_silent_where_the_grid_resolves_the_packet(config):
+    assert _grid_warnings(parse_config(config)) == []
+
+
+def test_derivative_spread_survives_an_overflowing_mass_product():
+    # (4n - 2) m overflows at this mass, and the spread once read 0
+    cfg = parse_config("family = derivative\nphysics.mass = 1e308")
+    assert _initial_spread(cfg) == pytest.approx(math.sqrt(7 / 6) * 1e-154, rel=1e-14)
 
 
 # ------------------------------------------------------------------- main
@@ -414,11 +524,13 @@ def test_main_nonfinite_or_overflowing_times(tmp_path, capsys, times, status, me
 
 def test_main_floating_point_error_exits_two(tmp_path, capsys):
     # the Hermite-Gauss closed form overflows at this mass; the error must end
-    # in exit 2 with the CLI's own message, not numpy warnings on stderr
+    # in exit 2 with the CLI's own messages (the grid-step warning, then the
+    # runtime error), not numpy warnings on stderr
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("scenario = spread-law\nphysics.mass = 1e308\ngrid.n = 64\n")
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("runtime error:")
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: grid step") and error.startswith("runtime error:")
 
 
 def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):

@@ -507,3 +507,12 @@ def test_kappa_and_beta_continuous_through_zero(gauss_fam):
     assert np.max(np.abs(np.diff(kappas))) < 1e-2
     betas = np.array([gauss_fam.beta(t) for t in ts])
     assert np.max(np.abs(np.diff(betas))) < 1e-2
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_families_reject_nonpositive_or_nonfinite_scales(params, value):
+    # an infinite tau once gave gamma(0) = nan and all-NaN packets
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        GaussianFamily(params, tau=value)
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        SquareFamily(params, a=value)
