@@ -24,6 +24,8 @@ step wider than one; the initial spread behind both warnings and the
 asymptotic bound is exact for every family; for derivative packets it is
 Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
 by zero or invalid operation while running is a runtime error (exit 2).
+Every slice is computed before any file is written, so a run that exits 2
+while computing creates no output directory and writes no file.
 CSV numbers carry 17 significant digits so doubles round-trip exactly and
 reruns are byte-identical.  Each file is one 2-D float table rendered by a
 single `%.17g` format call (and each SVG polyline by a single `%.2f` call),
@@ -76,23 +78,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _initial_spread(cfg: ScenarioConfig) -> float:
+class _Packet(NamedTuple):
+    evaluate: Callable  # psi(x, t); looks its closed form up in this module's globals when called
+    spread: float  # the exact initial Dx
+    grid: Callable = Grid.centered  # Grid.centered_offset for the square
+    finite_dp: bool = True  # False only for the square, whose Dp is infinite
+
+
+def _packet(cfg: ScenarioConfig) -> _Packet:
     p, n = cfg.params, cfg.family_order
-    if cfg.family == "square":
-        return cfg.a / math.sqrt(12.0)
-    gamma0 = math.sqrt(p.hbar * cfg.tau / p.mass)
-    if cfg.family == "gaussian":
-        return gamma0 / math.sqrt(2.0)
-    if cfg.family == "hermite-gauss":
-        return gamma0 * math.sqrt(n + 0.5)
-    variance = (4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass)
-    if 0 < variance < math.inf:
-        return math.sqrt(variance)
-    return gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))  # (4n - 2) m overflowed
-
-
-def _family_evaluator(cfg: ScenarioConfig):
-    p = cfg.params
     if cfg.family == "square":
         fam = SquareFamily(params=p, a=cfg.a)
         step = 2 * cfg.half_width / cfg.grid_n
@@ -106,26 +100,32 @@ def _family_evaluator(cfg: ScenarioConfig):
             covered = np.clip((cfg.a / 2 - np.abs(x)) / step + 0.5, 0.0, 1.0)
             return np.sqrt(covered) / math.sqrt(cfg.a)
 
-        return evaluate
+        return _Packet(evaluate, cfg.a / math.sqrt(12.0), Grid.centered_offset, False)
     fam = GaussianFamily(params=p, tau=cfg.tau)
+    gamma0 = math.sqrt(p.hbar * cfg.tau / p.mass)
     if cfg.family == "gaussian":
-        return lambda x, t: gaussian_chi(fam, x, t)
+        return _Packet(lambda x, t: gaussian_chi(fam, x, t), gamma0 / math.sqrt(2.0))
     if cfg.family == "hermite-gauss":
-        return lambda x, t: hermite_gauss(fam, cfg.family_order, x, t)
-    return lambda x, t: derivative_packet(fam, cfg.family_order, x, t)
+        return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5))
+    variance = (4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass)
+    if 0 < variance < math.inf:
+        spread = math.sqrt(variance)
+    else:  # (4n - 2) m overflowed
+        spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
+    return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread)
 
 
-# A summary kind takes (cfg, grid, evaluate) and returns the summary header
+# A summary kind takes (cfg, grid, packet) and returns the summary header
 # and a function of t that gives the slice's field and summary row.
 
 
-def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate):
-    params, delta_x0 = cfg.params, _initial_spread(cfg)
+def _closed_form(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
+    params = cfg.params
 
     def slice_at(t):
         # ComplexField rejects non-finite samples before any reach a CSV
-        field = sample(evaluate, grid, t)
-        if cfg.family == "square" and t != 0:
+        field = sample(packet.evaluate, grid, t)
+        if not packet.finite_dp and t != 0:
             # Dp is infinite for the square packet and Dx exists only at the
             # discontinuity instant; report the honest non-values.
             mean_x = mean_r = delta_x = math.nan
@@ -133,7 +133,7 @@ def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate):
         else:
             m = moments(field, params)
             mean_x, mean_r, delta_x, delta_p = m.mean_x, m.mean_r, m.delta_x, m.delta_p
-        asym_bound = asymptotic_error_bound(delta_x0, abs(t), params) if t != 0 else math.inf
+        asym_bound = asymptotic_error_bound(packet.spread, abs(t), params) if t != 0 else math.inf
         short_bound = short_time_error_bound(delta_p, abs(t), params)
         return field, [t, delta_x, delta_p, mean_x, mean_r, short_bound, asym_bound]
 
@@ -141,9 +141,9 @@ def _closed_form(cfg: ScenarioConfig, grid: Grid, evaluate):
     return header, slice_at
 
 
-def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate):
+def _spread_law(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
     params = cfg.params
-    psi0 = sample(evaluate, grid, 0.0)
+    psi0 = sample(packet.evaluate, grid, 0.0)
     law = spread_law_from_state(moments(psi0, params), params, 0.0)
 
     def slice_at(t):
@@ -156,9 +156,9 @@ def _spread_law(cfg: ScenarioConfig, grid: Grid, evaluate):
     return ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"], slice_at
 
 
-def _bounds(cfg: ScenarioConfig, grid: Grid, evaluate):
+def _bounds(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
     params = cfg.params
-    psi0 = sample(evaluate, grid, 0.0)
+    psi0 = sample(packet.evaluate, grid, 0.0)
     m0 = moments(psi0, params)
     phi0 = to_momentum(psi0, params)
 
@@ -421,7 +421,7 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
 
 def _grid_warnings(cfg: ScenarioConfig) -> list[str]:
     """The grid must hold the packet many spreads wide and resolve it."""
-    warnings, spread = [], _initial_spread(cfg)
+    warnings, spread = [], _packet(cfg).spread
     if cfg.half_width < 10.0 * spread:
         warnings.append(
             f"grid.half_width = {cfg.half_width} is below 10 x initial spread "
@@ -453,23 +453,30 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print("strict mode: warnings are fatal", file=sys.stderr)
         return EXIT_STRICT
 
+    packet = _packet(cfg)
+    grid = packet.grid(cfg.half_width, cfg.grid_n)
+    header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, grid, packet)
+    # every slice's table and row are computed before any file is written, so a
+    # failed run writes nothing
+    tables, rows = [], []
+    for t in cfg.times:
+        field, row = slice_at(t)
+        tables.append(_slice_table(cfg, field, t))
+        rows.append(row)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    centered = Grid.centered_offset if cfg.family == "square" else Grid.centered
-    grid = centered(cfg.half_width, cfg.grid_n)
-    summary = _SCENARIO_TABLE[cfg.scenario].summary
-    header, slice_at = summary(cfg, grid, _family_evaluator(cfg))
-    rows = []
-    for index, t in enumerate(cfg.times):
-        field, row = slice_at(t)
-        _write_slice(cfg, out_dir, index, field, t)
-        rows.append(row)
+    for index, (t, (slice_header, table)) in enumerate(zip(cfg.times, tables)):
+        stem = out_dir / f"{cfg.scenario}_t{index}"
+        _write_csv(stem.with_suffix(".csv"), slice_header, table)
+        if "svg" in cfg.formats:
+            title = f"{cfg.scenario}: density at t = {t:.17g}"
+            _write_svg(stem.with_suffix(".svg"), table[:, 0], table[:, 3], title)  # x, density
     _write_csv(out_dir / f"{cfg.scenario}_summary.csv", header, rows)
     return EXIT_OK
 
 
-def _write_slice(cfg: ScenarioConfig, out_dir: Path, index: int, field, t: float):
-    """One time slice as CSV (plus the rescaled pair for fig2/fig4) and optional SVG."""
+def _slice_table(cfg: ScenarioConfig, field, t: float):
+    """One time slice's header and table (plus the rescaled pair for fig2/fig4)."""
     x, values = field.grid.points, field.values
     density = np.abs(values) ** 2
     header = ["x", "re_psi", "im_psi", "density"]
@@ -477,10 +484,7 @@ def _write_slice(cfg: ScenarioConfig, out_dir: Path, index: int, field, t: float
     if _SCENARIO_TABLE[cfg.scenario].rescaled:
         header += ["x_over_t", "t_times_density"]
         columns += [x / t, t * density]
-    stem = out_dir / f"{cfg.scenario}_t{index}"
-    _write_csv(stem.with_suffix(".csv"), header, np.column_stack(columns))
-    if "svg" in cfg.formats:
-        _write_svg(stem.with_suffix(".svg"), x, density, f"{cfg.scenario}: density at t = {t:.17g}")
+    return header, np.column_stack(columns)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freepacket import PhysicsParams, asymptotic_error_bound
+import freepacket.cli
+from freepacket import PhysicsParams, asymptotic_error_bound, moments, sample
 from freepacket.cli import (
     _KNOWN_KEYS,
     EXIT_CONFIG,
@@ -21,7 +22,7 @@ from freepacket.cli import (
     ConfigError,
     ScenarioConfig,
     _grid_warnings,
-    _initial_spread,
+    _packet,
     _write_csv,
     _write_svg,
     main,
@@ -463,7 +464,46 @@ def test_grid_checks_are_silent_where_the_grid_resolves_the_packet(config):
 def test_derivative_spread_survives_an_overflowing_mass_product():
     # (4n - 2) m overflows at this mass, and the spread once read 0
     cfg = parse_config("family = derivative\nphysics.mass = 1e308")
-    assert _initial_spread(cfg) == pytest.approx(math.sqrt(7 / 6) * 1e-154, rel=1e-14)
+    assert _packet(cfg).spread == pytest.approx(math.sqrt(7 / 6) * 1e-154, rel=1e-14)
+
+
+# each family with the orders it takes on the default grid
+_FAMILY_CONFIGS = [
+    "family = gaussian",
+    *(f"family = hermite-gauss\nfamily.n = {n}" for n in (0, 1, 5, 20, 40)),
+    *(f"family = derivative\nfamily.n = {n}" for n in (0, 2, 16)),
+    "family = square",
+]
+
+
+@pytest.mark.parametrize("config", _FAMILY_CONFIGS)
+def test_packet_facts_match_the_sampled_packet(config):
+    cfg = parse_config(config)
+    packet = _packet(cfg)
+    m = moments(sample(packet.evaluate, packet.grid(cfg.half_width, cfg.grid_n), 0.0), cfg.params)
+    assert packet.finite_dp == math.isfinite(m.delta_p)
+    assert packet.finite_dp == (cfg.family != "square")
+    if packet.finite_dp:
+        assert packet.spread == pytest.approx(m.delta_x, rel=1e-12)
+
+
+def test_every_closed_form_is_looked_up_when_called(tmp_path, monkeypatch):
+    # a tracer counts packet evaluations by replacing these names in freepacket.cli
+    calls = dict.fromkeys(["gaussian_chi", "hermite_gauss", "derivative_packet", "square_exact"], 0)
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(freepacket.cli, name, counting(name, getattr(freepacket.cli, name)))
+    for family in FAMILIES:
+        cfg = parse_config(f"family = {family}\ngrid.n = 1024\noutput.dir = {tmp_path / family}")
+        assert run_scenario(cfg) == EXIT_OK
+    assert all(calls.values()), calls
 
 
 # ------------------------------------------------------------------- main
@@ -541,6 +581,25 @@ def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
     assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
     assert "grid step must be positive and finite" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the third slice fails the moments check after two slices were computed
+        "scenario = spread-law\ngrid.half_width = 16\ntimes = 0, 3, 5",
+        # the summary kind fails before any slice is computed
+        "scenario = spread-law\nfamily = square",
+        # x_over_t of the second slice overflows after the first slice's table was built
+        "scenario = fig2\ntimes = 3, 1e-310",
+    ],
+)
+def test_main_failed_run_writes_nothing(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{config}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
+    assert "runtime error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
