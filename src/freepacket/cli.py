@@ -107,11 +107,7 @@ def _packet(cfg: ScenarioConfig) -> _Packet:
         return _Packet(lambda x, t: gaussian_chi(fam, x, t), gamma0 / math.sqrt(2.0))
     if cfg.family == "hermite-gauss":
         return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5))
-    variance = (4 * n - 1) * p.hbar * cfg.tau / ((4 * n - 2) * p.mass)
-    if 0 < variance < math.inf:
-        spread = math.sqrt(variance)
-    else:  # (4n - 2) m overflowed
-        spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
+    spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
     return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread)
 
 

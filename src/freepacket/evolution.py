@@ -1,9 +1,9 @@
 """Free-particle propagators, the two analytic approximations, and their bounds.
 
 The spectral propagator is exact up to discretization (multiply the momentum
-wave function by exp(-i p^2 t / 2 m hbar), one FFT pair with the momenta in
-FFT order); the direct quadrature propagator is its deliberately independent
-O(N^2) oracle.  On the uniform grid the free kernel
+wave function by exp(-i p^2 t / 2 m hbar), one FFT pair on the integer
+lattice k = p / dp in FFT order); the direct quadrature propagator is its
+deliberately independent O(N^2) oracle.  On the uniform grid the free kernel
 exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the quadrature
 is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps, N^2 complex
 multiply-adds, O(N) memory and no FFT.  The asymptotic form is the same sum
@@ -77,8 +77,9 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     if t == 0:
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SPECTRAL_EXACT)
-    m, hbar = params.mass, params.hbar
-    values = _spectral_apply(psi0, hbar, lambda p: _cis(-(p**2) * t * (1 / (2 * m * hbar))))
+    dp = psi0.grid.momentum_step(params.hbar)
+    theta = -0.5 * (dp / params.mass) * (dp * t / params.hbar)  # theta k^2 = -p^2 t / 2 m hbar
+    values = _spectral_apply(psi0, lambda k: _cis(theta * (k * k)))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
@@ -142,10 +143,10 @@ def short_time_approx(
     if t == 0:
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
-    m, hbar = params.mass, params.hbar
-    shift = pbar * t / m
-    psi = _spectral_apply(psi0, hbar, lambda p: _cis(-p * shift * (1 / hbar)))
-    values = _cis(pbar**2 * t / (2 * m * hbar)) * psi
+    shift = pbar * t / params.mass
+    dk = psi0.grid.momentum_step(1.0)
+    psi = _spectral_apply(psi0, lambda k: _cis(-(dk * shift) * k))
+    values = _cis(0.5 * pbar * shift / params.hbar) * psi  # pbar^2 t / 2 m hbar
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 

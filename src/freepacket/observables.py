@@ -32,9 +32,9 @@ never as a silently band-limit-dependent number.
 
 moments works in real arithmetic on the real and imaginary parts: both
 densities are re^2 + im^2, and the <R> integrand is
-(x - <x>)(Re psi Re P psi + Im psi Im P psi - <p> |psi|^2).  For a packet
-with finite moments the one spectrum, scaled by p and inverse-transformed in
-place, is the only field-sized complex array it forms.
+(x - <x>)(Re psi Re Q psi + Im psi Im Q psi) with Q = P - <p>.  For a packet
+with finite moments the one spectrum, scaled by k - <k> and
+inverse-transformed in place, is the only field-sized complex array it forms.
 """
 
 from __future__ import annotations
@@ -93,30 +93,24 @@ class Timescales:
     t_h: float
 
 
-def _second_moment_diverges(lattice, density, step, center, full) -> bool:
-    # Compare the second moment `full` taken over the full lattice with the
-    # one restricted to the inner half of the span; a converged moment does
-    # not care, a fat-tailed one does.
-    n = lattice.size
-    inner = slice(n // 4, n - n // 4)
-    restricted = float(np.sum((lattice[inner] - center) ** 2 * density[inner]) * step)
-    if full <= 0:
-        return False
-    return abs(full - restricted) / full > _P_DIVERGENCE_TOL
-
-
-def _momentum_moments(spectrum: np.ndarray, grid, hbar: float):
-    """<p>, Var p and whether the p^2 moment diverges, from the bare FFT of psi."""
-    scale = grid.step**2 / (2 * np.pi * hbar)
-    density_p = np.fft.fftshift(scale * (spectrum.real**2 + spectrum.imag**2))
-    p = grid.momentum_points(hbar)
-    dp = grid.momentum_step(hbar)
-    # First moment with the Nyquist bin dropped: that component belongs to
-    # +p_max and -p_max equally, and keeping it breaks the exact pairwise
-    # cancellation that makes <p> of a real packet vanish on the lattice.
-    mean_p = float(np.sum((p * density_p)[1:]) * dp)
-    var_p = _trapz((p - mean_p) ** 2 * density_p, dp)
-    return mean_p, var_p, _second_moment_diverges(p, density_p, dp, mean_p, var_p)
+def _lattice_moments(spectrum: np.ndarray, step: float):
+    """k - <k>, <k>, Var k and whether the k^2 moment diverges on the integer
+    lattice k in FFT order, weighted by w_k = step |FFT_k|^2 / n (the momentum
+    density times dp, so they sum to the norm whatever hbar is)."""
+    n = spectrum.size
+    k = np.fft.fftfreq(n, 1 / n)
+    weights = spectrum.real**2 + spectrum.imag**2
+    weights *= step / n
+    # <k> leaves out the Nyquist bin k = -n/2: that component belongs to +n/2
+    # and -n/2 equally, and keeping it breaks the exact pairwise cancellation
+    # that makes <p> of a real packet vanish on the lattice
+    mean_k = float(k[: n // 2] @ weights[: n // 2] + k[n // 2 + 1 :] @ weights[n // 2 + 1 :])
+    k -= mean_k
+    spread = k**2 * weights
+    var_k = float(spread.sum())
+    # the k^2 moment diverges when the outer half of the lattice, the middle
+    # of FFT order, holds a share of it: a converged moment does not care
+    return k, mean_k, var_k, float(spread[n // 4 : n - n // 4].sum()) > _P_DIVERGENCE_TOL * var_k
 
 
 def _at_real_instant(values: np.ndarray, density: np.ndarray) -> bool:
@@ -128,12 +122,12 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     """Position and momentum moments of a normalized position-space field.
 
     Position moments use trapezoidal quadrature.  Every momentum quantity
-    comes from one bare FFT of psi: the momentum density is
-    step^2 / (2 pi hbar) |FFT|^2 on the centred lattice (the phase of
-    to_momentum drops out of the modulus), and <R> is the inner product
-    Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with P psi the inverse
-    FFT of that same spectrum times the lattice p in FFT order, both steps
-    done in place on the spectrum.
+    comes from one bare FFT of psi, as sums over the integer lattice k in FFT
+    order (p = dp k) with the hbar-free weights step |FFT_k|^2 / n, and dp is
+    applied once at the end, so nothing squares a momentum (tested for m from
+    1e-300 to 1e308 and hbar from 1e-300 to 1e300).  <R> is the inner product
+    Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with (P - <p>) psi / dp
+    the inverse FFT of that same spectrum times k - <k>, taken in place.
     """
     _require_position(f, "moments")
     grid = f.grid
@@ -147,47 +141,49 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     mean_x = _trapz(x * density_x, grid.step)
     var_x = _trapz((x - mean_x) ** 2 * density_x, grid.step)
 
-    hbar = params.hbar
     spectrum = scipy.fft.fft(f.values)
-    mean_p, var_p, p_diverges = _momentum_moments(spectrum, grid, hbar)
+    k, mean_k, var_k, p_diverges = _lattice_moments(spectrum, grid.step)
     x_diverges = p_diverges and not _at_real_instant(f.values, density_x)
 
+    dp = grid.momentum_step(params.hbar)
     if x_diverges:
-        delta_x = math.nan
-        mean_r = math.nan
+        delta_x = mean_r = math.nan
     else:
-        np.multiply(np.fft.ifftshift(grid.momentum_points(hbar)), spectrum, out=spectrum)
-        p_psi = scipy.fft.ifft(spectrum, overwrite_x=True)
-        # Re[psi* (P psi - <p> psi)] in real arithmetic
-        overlap = re * p_psi.real + im * p_psi.imag - mean_p * density_x
-        mean_r = _trapz((x - mean_x) * overlap, grid.step)
-        delta_x = math.sqrt(max(var_x, 0.0))
+        np.multiply(spectrum, k, out=spectrum)
+        k_psi = scipy.fft.ifft(spectrum, overwrite_x=True)  # (P - <p>) psi / dp
+        # Re[psi* (P - <p>) psi] / dp in real arithmetic
+        overlap = re * k_psi.real + im * k_psi.imag
+        mean_r = dp * _trapz((x - mean_x) * overlap, grid.step)
+        delta_x = math.sqrt(var_x)
 
-    delta_p = math.inf if p_diverges else math.sqrt(max(var_p, 0.0))
-    return PacketMoments(mean_x=mean_x, mean_p=mean_p, delta_x=delta_x, delta_p=delta_p, mean_r=mean_r)
+    delta_p = math.inf if p_diverges else dp * math.sqrt(var_k)
+    return PacketMoments(mean_x, dp * mean_k, delta_x, delta_p, mean_r)
+
+
+def _delta_min(m0: PacketMoments) -> float:
+    """Dmin = Dx sqrt(1 - q^2), q = <R> / (Dx Dp); an infinite Dp gives Dx."""
+    q = m0.mean_r / m0.delta_x / m0.delta_p
+    if q * q > 1 + 1e-10:
+        raise ValueError(f"inconsistent moments: |<R>| / (Dx Dp) = {abs(q)} > 1")
+    return m0.delta_x * math.sqrt(max(1 - q * q, 0.0))
 
 
 def spread_law_from_state(m0: PacketMoments, params: PhysicsParams, t_now: float) -> SpreadLaw:
     """Recover (Dmin, t_min) from moments measured at t_now.
 
-    t_min = t_now - m <R> / Dp^2 and Dmin^2 = Dx^2 - (Dp^2/m^2)(t_now-t_min)^2.
-    A packet that is real at t_now has <R> = 0 there: it is at its waist.
+    t_min = t_now - m <R> / Dp^2 and Dmin^2 = Dx^2 - <R>^2 / Dp^2, each
+    evaluated as ratios so that no physical quantity is squared.  A packet
+    that is real at t_now has <R> = 0 there: it is at its waist.
     """
     if not math.isfinite(m0.delta_p) or not math.isfinite(m0.delta_x):
         raise ValueError("spread law needs finite Dx and Dp")
-    m = params.mass
-    offset = m * m0.mean_r / m0.delta_p**2
-    t_min = t_now - offset
-    delta_min2 = m0.delta_x**2 - (m0.delta_p**2 / m**2) * offset**2
-    if delta_min2 < -1e-10 * m0.delta_x**2:
-        raise ValueError(f"inconsistent moments: Dmin^2 = {delta_min2} < 0")
-    return SpreadLaw(delta_min=math.sqrt(max(delta_min2, 0.0)), t_min=t_min, delta_p=m0.delta_p)
+    t_min = t_now - (params.mass / m0.delta_p) * (m0.mean_r / m0.delta_p)
+    return SpreadLaw(delta_min=_delta_min(m0), t_min=t_min, delta_p=m0.delta_p)
 
 
 def spread_prediction(law: SpreadLaw, params: PhysicsParams, t: float) -> float:
-    """Dx(t) = sqrt(Dmin^2 + (t - t_min)^2 Dp^2 / m^2)."""
-    m = params.mass
-    return math.sqrt(law.delta_min**2 + (t - law.t_min) ** 2 * law.delta_p**2 / m**2)
+    """Dx(t) = sqrt(Dmin^2 + (t - t_min)^2 Dp^2 / m^2), by math.hypot."""
+    return math.hypot(law.delta_min, (t - law.t_min) * (law.delta_p / params.mass))
 
 
 def timescales(m0: PacketMoments, params: PhysicsParams) -> Timescales:
@@ -198,14 +194,14 @@ def timescales(m0: PacketMoments, params: PhysicsParams) -> Timescales:
     snapshot was taken at the discontinuity instant).
     """
     m, hbar = params.mass, params.hbar
-    t_p = m * hbar / (2 * m0.delta_p**2)
-    delta_min2 = m0.delta_x**2 - m0.mean_r**2 / m0.delta_p**2
-    delta_min = math.sqrt(max(delta_min2, 0.0))
-    t_x = 2 * m * delta_min**2 / hbar
-    t_h = m * delta_min / m0.delta_p
-    return Timescales(t_p=t_p, t_x=t_x, t_h=t_h)
+    delta_min = _delta_min(m0)
+    return Timescales(
+        t_p=0.5 * (m / m0.delta_p) * (hbar / m0.delta_p),
+        t_x=2 * (m * delta_min / hbar) * delta_min,
+        t_h=(m / m0.delta_p) * delta_min,
+    )
 
 
 def timescale_tx_initial(m0: PacketMoments, params: PhysicsParams) -> float:
     """The t_x variant 2 m Dx^2 / hbar built from the spread at the snapshot."""
-    return 2 * params.mass * m0.delta_x**2 / params.hbar
+    return 2 * (params.mass * m0.delta_x / params.hbar) * m0.delta_x

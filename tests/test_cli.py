@@ -461,6 +461,32 @@ def test_grid_checks_are_silent_where_the_grid_resolves_the_packet(config):
     assert _grid_warnings(parse_config(config)) == []
 
 
+# heavy packets on grids that resolve them: the momentum lattice reaches 1e100
+# to 1e156, so no momentum, mass or their product may be squared on the way
+_HEAVY = {
+    # (p - <p>)^2 in the momentum moments overflowed
+    "derivative-mass-1e308": (
+        "scenario = spread-law\nfamily = derivative\nphysics.mass = 1e308\ngrid.half_width = 1e-152"
+    ),
+    # m^2 in the spread law overflowed
+    "hermite-gauss-mass-1e200": "scenario = spread-law\nphysics.mass = 1e200\ngrid.half_width = 1e-98",
+    # 1 / (2 m hbar) in the propagator rounds to 0, which would freeze the packet
+    "derivative-mass-1e308-tau-100": (
+        "scenario = spread-law\nfamily = derivative\nphysics.mass = 1e308\nfamily.tau = 100\n"
+        "grid.n = 128\ngrid.half_width = 2e-152\ntimes = 0, 0.001, 0.002"
+    ),
+}
+
+
+@pytest.mark.parametrize("config", _HEAVY.values(), ids=list(_HEAVY))
+def test_spread_law_holds_for_heavy_packets(tmp_path, config):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{config}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path), "--strict"]) == EXIT_OK
+    rows = read_csv(tmp_path / "out" / "spread-law_summary.csv")
+    assert np.all(column(rows, "rel_gap") <= 1e-6)
+
+
 def test_derivative_spread_survives_an_overflowing_mass_product():
     # (4n - 2) m overflows at this mass, and the spread once read 0
     cfg = parse_config("family = derivative\nphysics.mass = 1e308")

@@ -25,6 +25,7 @@ from freepacket import (
     moments,
     propagate_spectral,
     sample,
+    short_time_approx,
     spread_law_from_state,
     spread_prediction,
     square_initial,
@@ -245,6 +246,12 @@ def test_inner_half_slice_is_the_centred_half_span_mask(hbar):
             p = g.momentum_points(hbar)
             mask = np.abs(p - 0.5 * (p[0] + p[-1])) <= (p[-1] - p[0]) / 4
             np.testing.assert_array_equal(np.flatnonzero(mask), np.arange(n // 4, n - n // 4))
+        # moments works in FFT order: indices [0, n/4) and [3n/4, n) of the
+        # integer lattice are the lattice points of that centred slice
+        k = np.fft.fftfreq(n, 1 / n)
+        inner = np.concatenate([k[: n // 4], k[n - n // 4 :]])
+        np.testing.assert_array_equal(np.sort(inner), np.arange(n // 4, n - n // 4) - n // 2)
+        np.testing.assert_array_equal(k, np.fft.ifftshift(np.arange(n) - n // 2))
 
 
 # ------------------------------------------------------------- spread law
@@ -375,3 +382,65 @@ def test_tx_conventions_differ_away_from_waist(gauss_fam, wide_grid, params):
     ts = timescales(m, params)
     assert ts.t_x == pytest.approx(gauss_fam.tau, rel=1e-8)
     assert timescale_tx_initial(m, params) == pytest.approx(5 * gauss_fam.tau, rel=1e-8)
+
+
+# ------------------------------------------------------- scale covariance
+#
+# In the units gamma0 = sqrt(hbar tau / m) of length, hbar / gamma0 of
+# momentum and tau of time, every measured and predicted number is the same
+# for all m and hbar.  The momentum lattice reaches about 1e156 at m = 1e308,
+# so any squared momentum or mass on the path would overflow there.
+
+SCALE_CASES = {
+    **{f"mass={m:g}": PhysicsParams(mass=m) for m in (1e-300, 1e-150, 1e150, 1e300, 1e308)},
+    **{f"hbar={h:g}": PhysicsParams(hbar=h) for h in (1e-300, 1e300)},
+}
+
+
+def _scale_free_run(params):
+    """The n = 2 derivative packet's numbers in gamma0, hbar / gamma0 and tau."""
+    gamma0 = math.sqrt(params.hbar) / math.sqrt(params.mass)  # tau = 1
+    unit_p = params.hbar / gamma0
+    fam = GaussianFamily(params=params, tau=1.0)
+    g = Grid.centered(64 * gamma0, 4096)
+    psi0 = sample(lambda x, t: derivative_packet(fam, 2, x, t), g, 0.0)
+    m0 = moments(psi0, params)
+    law = spread_law_from_state(m0, params, 0.0)
+    ts = timescales(m0, params)
+    out = {
+        "delta_x": m0.delta_x / gamma0,
+        "delta_p": m0.delta_p / unit_p,
+        "delta_min": law.delta_min / gamma0,
+        "t_p": ts.t_p,
+        "t_x": ts.t_x,
+        "t_h": ts.t_h,
+    }
+    gaps = []
+    for t in (0.5, 2.0):
+        mt = moments(propagate_spectral(psi0, t, params).field, params)
+        predicted = spread_prediction(law, params, t)
+        gaps.append(abs(mt.delta_x - predicted) / predicted)
+        out[f"delta_x({t})"] = mt.delta_x / gamma0
+        out[f"delta_p({t})"] = mt.delta_p / unit_p
+        out[f"mean_r({t})"] = mt.mean_r / params.hbar
+    # short-time translation of the packet boosted to <p> = 1.5 hbar / gamma0
+    moving = ComplexField(np.exp(1.5j * (g.points / gamma0)) * psi0.values, g)
+    mm = moments(moving, params)
+    exact = propagate_spectral(moving, 0.01, params).field.values
+    translated = short_time_approx(moving, 0.01, params, pbar=mm.mean_p).field.values
+    out["mean_p"] = mm.mean_p / unit_p
+    out["short_sup"] = float(np.max(np.abs(exact - translated) ** 2)) * gamma0
+    return out, gaps
+
+
+@pytest.mark.parametrize("params", SCALE_CASES.values(), ids=SCALE_CASES.keys())
+def test_spread_law_path_is_scale_covariant(params):
+    expected, _ = _scale_free_run(PhysicsParams())
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got, gaps = _scale_free_run(params)
+    assert max(gaps) <= 1e-6
+    for name, value in expected.items():
+        # the short-time remainder is a difference of two close fields, so
+        # its rounding is amplified
+        rel = 1e-10 if name == "short_sup" else 1e-12
+        assert got[name] == pytest.approx(value, rel=rel, abs=0), name
