@@ -5,9 +5,12 @@ wave function by exp(-i p^2 t / 2 m hbar), one FFT pair on the integer
 lattice k = p / dp in FFT order); the direct quadrature propagator is its
 deliberately independent O(N^2) oracle.  On the uniform grid the free kernel
 exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the quadrature
-is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps, N^2 complex
-multiply-adds, O(N) memory and no FFT.  The asymptotic form is the same sum
-(see asymptotic_form).  The short-time translation, also one FFT pair,
+is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps, N x S complex
+multiply-adds over the S points from the first to the last nonzero weight,
+O(N) memory and no FFT.  The asymptotic form is the same chirp sum (see
+asymptotic_form), but it is not the oracle, so it takes the sum as one
+zero-padded 2N-point FFT convolution (Bluestein's chirp-z identity) in
+O(N log N).  The short-time translation, also one FFT pair,
 and the large-time asymptotic form come with the rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
@@ -27,8 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .numerics import (
     ComplexField,
@@ -84,13 +89,15 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
 
 
 def _free_kernel_sum(
-    values: np.ndarray, grid: Grid, t: float, params: PhysicsParams
+    values: np.ndarray, grid: Grid, t: float, params: PhysicsParams, convolve: Callable
 ) -> np.ndarray:
     """Trapezoidal sum_k K(x_j - x_k, t) values_k step with the free kernel K.
 
     K(x_j - x_k) = sqrt(m / 2 pi i hbar t) c_{j-k} with the chirp
-    c_d = exp(i a d^2 / 2), a = m step^2 / hbar t, so the sum is a direct
-    Toeplitz convolution against the 2N-1 chirp values (no FFT).
+    c_d = exp(i a d^2 / 2), a = m step^2 / hbar t, so the sum is a Toeplitz
+    convolution of the N weights against the 2N-1 chirp values;
+    convolve(weighted, chirp) returns its N valid terms, either directly
+    (_direct_convolution, the oracle's) or by FFT (_fft_convolution).
     """
     m, hbar = params.mass, params.hbar
     n = grid.n
@@ -101,9 +108,35 @@ def _free_kernel_sum(
     # double they cannot change a sum of normal terms, so drop them.
     weighted[np.abs(weighted) < np.finfo(float).tiny] = 0
     a = m * grid.step**2 / (hbar * t)
-    d = np.arange(1 - n, n)
-    chirp = _cis(0.5 * a * (d * d))
-    return np.sqrt(m / (2j * np.pi * hbar * t)) * np.convolve(weighted, chirp, mode="valid")
+    chirp = _cis(0.5 * a * np.arange(1 - n, n) ** 2)  # lags d = 1-n ... n-1
+    return np.sqrt(m / (2j * np.pi * hbar * t)) * convolve(weighted, chirp)
+
+
+def _direct_convolution(weighted: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+    """np.convolve(weighted, chirp, "valid") summed over the nonzero span only.
+
+    Output j is sum_k weighted_k chirp[n-1+j-k]; the weights outside
+    [lo, hi] are exactly zero, so only chirp[n-1-hi : 2n-1-lo] enters, and
+    no FFT is taken.
+    """
+    n = weighted.size
+    nonzero = np.flatnonzero(weighted)
+    if nonzero.size == 0:
+        return np.zeros(n, dtype=complex)
+    lo, hi = nonzero[0], nonzero[-1]
+    return np.convolve(weighted[lo : hi + 1], chirp[n - 1 - hi : 2 * n - 1 - lo], mode="valid")
+
+
+def _fft_convolution(weighted: np.ndarray, chirp: np.ndarray) -> np.ndarray:
+    """np.convolve(weighted, chirp, "valid") as one circular convolution of length 2n.
+
+    The full convolution has 3n-2 terms; those at index >= 2n wrap onto
+    indices <= n-3, so the valid terms n-1 ... 2n-2 come out unaliased.
+    """
+    n = weighted.size
+    spectrum = scipy.fft.fft(weighted, 2 * n)
+    spectrum *= scipy.fft.fft(chirp, 2 * n)
+    return scipy.fft.ifft(spectrum, overwrite_x=True)[n - 1 : 2 * n - 1]
 
 
 def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) -> PropagationResult:
@@ -119,7 +152,8 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     _require_position(psi0, "propagate_quadrature")
     if t == 0:
         raise ValueError("propagate_quadrature: kernel is singular at t = 0 (identity)")
-    out = ComplexField(_free_kernel_sum(psi0.values, psi0.grid, t, params), psi0.grid)
+    values = _free_kernel_sum(psi0.values, psi0.grid, t, params, _direct_convolution)
+    out = ComplexField(values, psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
 
 
@@ -196,8 +230,9 @@ def asymptotic_form(
     transform is re-evaluated at the required momenta m(x - xbar)/t.  Since
     -(x - xbar) x' = [(x - x')^2 - x^2 - x'^2]/2 + xbar x', that transform
     times the phase above is the free propagator applied to
-    psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is evaluated by the
-    same Toeplitz chirp sum as propagate_quadrature.  The resulting density
+    psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is the same Toeplitz
+    chirp sum as propagate_quadrature, taken here as one 2N-point FFT
+    convolution in O(N log N).  The resulting density
     is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for |t| >> 2 m Dx^2 / hbar;
     t = 0 is rejected.
     """
@@ -208,9 +243,9 @@ def asymptotic_form(
     if phi0.hbar != params.hbar:
         raise ValueError("phi0 momentum lattice hbar does not match params.hbar")
     grid = phi0.grid
-    psi0 = from_momentum(phi0, params).values
-    chirped = _cis(-params.mass * (grid.points - xbar) ** 2 * (1 / (2 * params.hbar * t))) * psi0
-    values = _free_kernel_sum(chirped, grid, t, params)
+    chirped = from_momentum(phi0, params).values
+    chirped *= _cis(-params.mass * (grid.points - xbar) ** 2 * (1 / (2 * params.hbar * t)))
+    values = _free_kernel_sum(chirped, grid, t, params, _fft_convolution)
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 
 

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from freepacket import (
+    ComplexField,
     GaussianFamily,
     Grid,
     PhysicsParams,
+    Representation,
     SquareFamily,
     apply_b_dagger,
     asymptotic_form,
@@ -131,6 +133,14 @@ BUDGETS_MIB = {
     "galilean_boost": (
         3.5,
         lambda f, x: galilean_boost(lambda y, t: gaussian_chi(BIG_FAM, y, t), 1.5, 0.0, PARAMS)(x, 0.3),
+    ),
+    # the Gaussian's samples read as momentum samples; the peak does not
+    # depend on the values
+    "asymptotic_form": (
+        8.5,
+        lambda f, x: asymptotic_form(
+            ComplexField(f.values, BIG, Representation.MOMENTUM, PARAMS.hbar), 0.0, 40.0, PARAMS
+        ),
     ),
 }
 

@@ -411,6 +411,73 @@ def test_asymptotic_matches_brute_force_transform(t):
     assert np.max(np.abs(out - expected)) / np.max(np.abs(expected)) < 1e-12
 
 
+def direct_chirp_sum(values, grid, t, params):
+    """The free-kernel trapezoid sum as np.convolve(weighted, chirp, "valid")."""
+    m, hbar, n = params.mass, params.hbar, grid.n
+    weighted = grid.step * values
+    weighted[[0, -1]] *= 0.5
+    a = m * grid.step**2 / (hbar * t)
+    d = np.arange(1 - n, n)
+    chirp = np.exp(0.5j * a * d**2)
+    return np.sqrt(m / (2j * np.pi * hbar * t)) * np.convolve(weighted, chirp, "valid")
+
+
+def _supported_on(support):
+    values = np.zeros(KERNEL_GRID.n, dtype=complex)
+    values[support] = kernel_packet().values[support]
+    return ComplexField(values, KERNEL_GRID)
+
+
+# The quadrature sums only the span from the first to the last nonzero
+# weight; these fields put that span inside, at either end, or nowhere.
+SUPPORTS = {
+    "interior": slice(60, 200),
+    "first": slice(0, 1),
+    "last": slice(KERNEL_GRID.n - 1, None),
+    "zero": slice(0, 0),
+}
+
+
+@pytest.mark.parametrize("support", SUPPORTS.values(), ids=SUPPORTS.keys())
+def test_quadrature_over_a_partial_support_matches_brute_force_sum(support):
+    m, hbar, t = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar, 0.9
+    f = _supported_on(support)
+    x = KERNEL_GRID.points
+    kernel = np.sqrt(m / (2j * np.pi * hbar * t)) * np.exp(
+        1j * m * (x[:, None] - x[None, :]) ** 2 / (2 * hbar * t)
+    )
+    expected = kernel @ trapezoid_weighted(f.values)
+    out = propagate_quadrature(f, t, KERNEL_PARAMS).field.values
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
+    m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar
+    phi0 = to_momentum(psi0, KERNEL_PARAMS)
+    x = psi0.grid.points
+    psi = from_momentum(phi0, KERNEL_PARAMS).values
+    chirped = np.exp(-1j * m * (x - xbar) ** 2 / (2 * hbar * t)) * psi
+    expected = direct_chirp_sum(chirped, psi0.grid, t, KERNEL_PARAMS)
+    out = asymptotic_form(phi0, xbar, t, KERNEL_PARAMS).field.values
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("t", [3.0, -5.0])
+def test_asymptotic_matches_direct_chirp_sum_on_the_oracle_grid(t):
+    # the benchmark oracle's grid: 2048 points across 64 gamma0 either side
+    fam = GaussianFamily(params=KERNEL_PARAMS, tau=1.0)
+    g = Grid.centered(64 * fam.gamma(0.0), 2048)
+    psi0 = sample(lambda x, tt: derivative_packet(fam, 3, x, tt), g, 0.0)
+    _assert_asymptotic_is_direct_chirp_sum(psi0, 0.3, t * fam.tau)
+
+
+@pytest.mark.parametrize("support", SUPPORTS.values(), ids=SUPPORTS.keys())
+def test_asymptotic_over_a_partial_support_matches_direct_chirp_sum(support):
+    _assert_asymptotic_is_direct_chirp_sum(_supported_on(support), 0.4, 2.5)
+
+
 def test_asymptotic_rejects_t_zero(gauss_fam, grid, params):
     phi0 = to_momentum(chi_field(gauss_fam, grid), params)
     with pytest.raises(ValueError):

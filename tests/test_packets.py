@@ -426,6 +426,23 @@ def test_boosted_family_solves_free_equation_under_propagation(gauss_fam, params
     assert err < 1e-9
 
 
+def _boosted_chi_in_units(params, t):
+    """A chi boosted by 1.5 hbar / gamma0 from t0 = 0.3 tau, in gamma0 and tau."""
+    gamma0 = math.sqrt(params.hbar) / math.sqrt(params.mass)  # tau = 1
+    fam = GaussianFamily(params=params, tau=1.0)
+    boosted = galilean_boost(lambda x, tt: gaussian_chi(fam, x, tt), 1.5 / gamma0, 0.3, params)
+    return boosted(gamma0 * np.linspace(-8, 8, 33), t) * math.sqrt(gamma0)
+
+
+@pytest.mark.parametrize("mass", [1e-300, 1e308])
+@pytest.mark.parametrize("t", [0.3, 1.3])
+def test_boost_is_scale_covariant(mass, t):
+    # at m = 1e308 the boost momentum 1.5e154 squared would overflow
+    expected = _boosted_chi_in_units(PhysicsParams(), t)
+    got = _boosted_chi_in_units(PhysicsParams(mass=mass), t)
+    assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-12
+
+
 # --------------------------------------------- family-wide exact properties
 
 
