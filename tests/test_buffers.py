@@ -5,7 +5,8 @@ the <R> integrand of moments).  np.asarray(x,
 dtype=float) and ComplexField both alias a caller's array of the right
 dtype, so every evaluator and every field operation is checked to leave its
 input bitwise unchanged.  The allocation budgets pin the peak traced memory
-of one call at n = 65536, where one complex array is 1 MiB.
+of one call at n = 65536, where one complex array is 1 MiB, and of writing
+the widest CSV table the command line writes.
 """
 
 import tracemalloc
@@ -40,6 +41,7 @@ from freepacket import (
     square_momentum,
     to_momentum,
 )
+from freepacket.cli import _write_csv
 
 PARAMS = PhysicsParams(hbar=0.7, mass=1.3)
 FAM = GaussianFamily(params=PARAMS, tau=0.5)
@@ -150,3 +152,17 @@ def test_allocation_budget_at_65536_points(big_field, budget, call):
     x = BIG.points
     peak = _peak_bytes(lambda: call(big_field, x))
     assert peak <= budget * MIB + OBJECT_SLACK, peak / MIB
+
+
+def test_write_csv_allocation_budget(tmp_path):
+    # fig2's widest slice at grid.n = 8192 (t = 3 tau, default physics): x,
+    # re_psi, im_psi, density, x/t and t*density; the writer renders it 1024
+    # rows at a time
+    fam = GaussianFamily(params=PhysicsParams(hbar=1.0, mass=1.0), tau=1.0)
+    x = Grid.centered(160.0, 8192).points
+    psi = derivative_packet(fam, 2, x, 3.0)
+    density = np.abs(psi) ** 2
+    table = np.column_stack([x, psi.real, psi.imag, density, x / 3.0, 3.0 * density])
+    header = ["x", "re_psi", "im_psi", "density", "x_over_t", "t_times_density"]
+    peak = _peak_bytes(lambda: _write_csv(tmp_path / "slice.csv", header, table))
+    assert peak <= 2.5 * MIB + OBJECT_SLACK, peak / MIB

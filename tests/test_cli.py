@@ -628,6 +628,25 @@ def test_main_failed_run_writes_nothing(tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_rerun_removes_only_its_own_stale_slice_files(tmp_path):
+    out = tmp_path / "out"
+
+    def run(extra):
+        cfg = parse_config(f"scenario = fig1\ngrid.n = 1024\noutput.dir = {out}\n{extra}")
+        assert run_scenario(cfg) == EXIT_OK
+
+    run("output.formats = csv, svg")
+    others = ["fig2_t5.csv", "fig1_t3.txt", "fig1_t03.csv", "fig1_summary.svg", "notes.csv"]
+    for name in others:
+        (out / name).write_text("keep\n")
+    (out / "fig1_t8.csv").mkdir()
+    run("times = 0, 1")
+    written = {"fig1_t0.csv", "fig1_t1.csv", "fig1_summary.csv"}
+    assert {p.name for p in out.iterdir()} == written | set(others) | {"fig1_t8.csv"}
+    assert all((out / name).read_text() == "keep\n" for name in others)
+    assert len(read_csv(out / "fig1_summary.csv")) == 2
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -708,8 +727,9 @@ def test_main_ends_in_an_exit_status(tmp_path, entries, grid_n):
 
 # ------------------------------------------------------------ byte format
 #
-# The writer renders whole tables with one format call; these references
-# format one value at a time, as the format's definition reads.
+# The writer renders whole tables with numpy and formats only the values it
+# cannot prove one at a time; these references format every value on its
+# own, as the format's definition reads.
 
 
 def reference_csv(header, rows):
@@ -754,6 +774,95 @@ def test_write_csv_matches_per_value_format(tmp_path):
         _write_csv(tmp_path / name, header, table)
         expected = reference_csv(header, np.asarray(table, dtype=float).tolist())
         assert (tmp_path / name).read_bytes() == expected.encode()
+
+
+def assert_renders_like_reference(tmp_path, table):
+    table = np.asarray(table, dtype=float)
+    header = [f"c{j}" for j in range(table.shape[1])]
+    _write_csv(tmp_path / "table.csv", header, table)
+    assert (tmp_path / "table.csv").read_bytes() == reference_csv(header, table.tolist()).encode()
+
+
+def _steps(value, count):
+    """`value` and its `count` neighbours on each side."""
+    below = [value] + [0.0] * count
+    above = [value] + [0.0] * count
+    for i in range(count):
+        below[i + 1] = np.nextafter(below[i], -np.inf)
+        above[i + 1] = np.nextafter(above[i], np.inf)
+    return below[:0:-1] + above
+
+
+def test_write_csv_at_every_power_of_ten(tmp_path):
+    # the decimal exponent and the digit count change here; a log10 one off
+    # must still print the right exponent
+    values = []
+    for k in range(-323, 309):
+        values += _steps(float(f"1e{k}"), 6)
+        values += [float(f"9.99999999999999995e{k}"), float(f"9.99999999999999995e{-k}")]
+    values = np.array(values)
+    assert_renders_like_reference(tmp_path, np.concatenate([values, -values]).reshape(-1, 1))
+
+
+def test_write_csv_on_exact_ties(tmp_path):
+    # k + 1/4 and k + 3/4 have 18 digits, so "%.17g" rounds a tie
+    k = np.random.default_rng(3).integers(10**15, 2**52, size=500).astype(float)
+    ties = np.concatenate([k + 0.25, k + 0.75, [1234567890123456.25, 0.5**60, 3 * 0.5**70]])
+    assert f"{1234567890123456.25:.17g}" == "1234567890123456.2"
+    assert_renders_like_reference(tmp_path, np.concatenate([ties, -ties]).reshape(-1, 2))
+
+
+def test_write_csv_on_zeros_and_subnormals(tmp_path):
+    rng = np.random.default_rng(4)
+    subnormals = rng.integers(1, 2**52, size=300, dtype=np.uint64).view(np.float64)
+    values = [0.0, -0.0, 5e-324, -5e-324, *subnormals, *_steps(2.2250738585072014e-308, 6)]
+    values += [-v for v in values[4:]]
+    assert_renders_like_reference(tmp_path, np.array(values[: len(values) // 3 * 3]).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+def test_write_csv_across_block_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-20, 20, size=(rows, 5))
+    table[::7, 2] = 0.0
+    assert_renders_like_reference(tmp_path, table)
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1)
+
+
+@given(
+    table=st.integers(1, 7).flatmap(
+        lambda k: st.lists(st.lists(_BIT_PATTERNS, min_size=k, max_size=k), min_size=1, max_size=40)
+    )
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_csv_on_arbitrary_bit_patterns(tmp_path, table):
+    assert_renders_like_reference(tmp_path, np.array(table, dtype=np.uint64).view(np.float64))
+
+
+def test_write_csv_when_every_value_takes_the_per_value_path(tmp_path, monkeypatch):
+    # with a double's eps the margin 4 eps S exceeds 1/2 for every S >= 1e16,
+    # as where long double is only a double, so no value is proven
+    assert 4 * np.finfo(np.float64).eps * 1e16 > 0.5
+    monkeypatch.setattr(freepacket.cli, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+    rng = np.random.default_rng(6)
+    table = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-300, 300, size=(300, 4))
+    table[::5, 1] = [0.0, -0.0, math.inf, math.nan, 5e-324, 1e-5] * 10
+    assert_renders_like_reference(tmp_path, table)
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    from fractions import Fraction
+
+    k_max = int(np.finfo(np.longdouble).maxexp * math.log10(2))
+    ulp_half = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    powers = freepacket.cli._POW10
+    for k, power in zip(range(16 - 308, 16 + 325), powers):
+        if k > k_max:
+            continue
+        exact = Fraction(10) ** k
+        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= ulp_half * exact, k
 
 
 def test_default_outputs_match_per_value_format(tmp_path):
