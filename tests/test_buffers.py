@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import freepacket._csvtext  # noqa: F401  the CSV writer's tables are built before its budget is taken
 from freepacket import (
     ComplexField,
     GaussianFamily,

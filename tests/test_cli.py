@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import freepacket._csvtext
 import freepacket.cli
 from freepacket import PhysicsParams, asymptotic_error_bound, moments, sample
 from freepacket.cli import (
@@ -845,7 +846,7 @@ def test_write_csv_when_every_value_takes_the_per_value_path(tmp_path, monkeypat
     # with a double's eps the margin 4 eps S exceeds 1/2 for every S >= 1e16,
     # as where long double is only a double, so no value is proven
     assert 4 * np.finfo(np.float64).eps * 1e16 > 0.5
-    monkeypatch.setattr(freepacket.cli, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+    monkeypatch.setattr(freepacket._csvtext, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
     rng = np.random.default_rng(6)
     table = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-300, 300, size=(300, 4))
     table[::5, 1] = [0.0, -0.0, math.inf, math.nan, 5e-324, 1e-5] * 10
@@ -857,7 +858,7 @@ def test_powers_of_ten_are_correctly_rounded():
 
     k_max = int(np.finfo(np.longdouble).maxexp * math.log10(2))
     ulp_half = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
-    powers = freepacket.cli._POW10
+    powers = freepacket._csvtext._POW10
     for k, power in zip(range(16 - 308, 16 + 325), powers):
         if k > k_max:
             continue

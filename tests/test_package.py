@@ -4,6 +4,8 @@ import contextlib
 import inspect
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,11 @@ def test_readme_library_example_runs():
     for line in lines:
         _, measured, predicted = map(float, line.split())
         assert measured == pytest.approx(predicted, rel=1e-6)
+
+
+def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
+    # its code and tables hold about 1.3 MB of resident memory, which a
+    # process that imports the command line but writes no CSV does not need
+    code = "import sys, freepacket.cli; print('freepacket._csvtext' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False"]
