@@ -389,7 +389,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
 def _write_csv(path: Path, header: list[str], table):
     """Header line, then one line per row of the 2-D float `table`, each value
     as `f"{v:.17g}"` prints it."""
-    # the renderer's code and tables hold about 1.3 MB of resident memory, so
+    # the renderer's code and tables hold about 0.5 MB of resident memory, so
     # the first CSV write loads it, not the import of this module
     from ._csvtext import write_rows
 

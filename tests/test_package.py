@@ -52,7 +52,7 @@ def test_readme_library_example_runs():
 
 
 def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
-    # its code and tables hold about 1.3 MB of resident memory, which a
+    # its code and tables hold about 0.5 MB of resident memory, which a
     # process that imports the command line but writes no CSV does not need
     code = "import sys, freepacket.cli; print('freepacket._csvtext' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
