@@ -786,12 +786,13 @@ def assert_renders_like_reference(tmp_path, table):
 
 def _steps(value, count):
     """`value` and its `count` neighbours on each side."""
-    below = [value] + [0.0] * count
-    above = [value] + [0.0] * count
-    for i in range(count):
-        below[i + 1] = np.nextafter(below[i], -np.inf)
-        above[i + 1] = np.nextafter(above[i], np.inf)
-    return below[:0:-1] + above
+    steps = [value]
+    for direction in (-math.inf, math.inf):
+        v = value
+        for _ in range(count):
+            v = float(np.nextafter(v, direction))
+            steps.append(v)
+    return steps
 
 
 def test_write_csv_at_every_power_of_ten(tmp_path):
@@ -806,9 +807,11 @@ def test_write_csv_at_every_power_of_ten(tmp_path):
 
 
 def test_write_csv_on_exact_ties(tmp_path):
-    # k + 1/4 and k + 3/4 have 18 digits, so "%.17g" rounds a tie
+    # k + 1/4, k + 3/4 and (1, 3) 2^-25 have 18 digits, the last a 5, so
+    # "%.17g" rounds a tie
     k = np.random.default_rng(3).integers(10**15, 2**52, size=500).astype(float)
-    ties = np.concatenate([k + 0.25, k + 0.75, [1234567890123456.25, 0.5**60, 3 * 0.5**70]])
+    ties = np.concatenate([k + 0.25, k + 0.75, [1234567890123456.25, 0.5**25, 3 * 0.5**25]])
+    assert f"{0.5**25:.18g}" == "2.98023223876953125e-08"
     assert f"{1234567890123456.25:.17g}" == "1234567890123456.2"
     assert_renders_like_reference(tmp_path, np.concatenate([ties, -ties]).reshape(-1, 2))
 
