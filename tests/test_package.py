@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import io
+import os
 import re
 import subprocess
 import sys
@@ -55,5 +56,7 @@ def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
     # its code and tables hold about 0.5 MB of resident memory, which a
     # process that imports the command line but writes no CSV does not need
     code = "import sys, freepacket.cli; print('freepacket._csvtext' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    paths = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.split() == ["False"]
