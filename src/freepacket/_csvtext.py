@@ -1,13 +1,23 @@
 """Float tables as CSV text, each value exactly as "%.17g" prints it.
 
 For a finite nonzero v, "%.17g" prints the 17-digit integer
-D = round(|v| 10^(16 - X)), X the decimal exponent after that rounding: in
-fixed notation for -4 <= X <= 16, else as d.ddd...e±XX, and without the
-fraction's trailing zeros.  `_render_values` takes S = |v| 10^(16 - X) in
-np.longdouble, against 10^k correctly rounded, so S is within eps S of the
-exact product and D is certain unless frac(S) lies within 4 eps S of 1/2.
-Those values, inf, nan and every value where long double is only a double
-(eps S >= 1/2) are formatted one at a time with "%.17g" instead.
+D = round(|v| 10^(16 - X)), rounded half to even, X the decimal exponent of
+|v| (one more where D rounds up to 10^17): in fixed notation for
+-4 <= X <= 16, else as d.ddd...e±XX, and without the fraction's trailing
+zeros.  `_scaled` takes S = |v| 10^(16 - X) as s + t in float64 arithmetic:
+s + e is Dekker's exact two-product (1971) of |v| with hi, and
+t = e + |v| lo, where hi + lo is 10^(16 - X) to within a relative
+(4 + 2u) u^2 (u = 2^-53): Dekker's product of a correctly rounded pair for
+10^(22 q) with the double 10^r, 16 - X = 22 q + r.  For X < -203 (X > 192) |v| is first
+scaled by 2^192 (2^-192) and the power by the inverse, so neither Veltkamp's
+split nor a partial product leaves the normal range.  Where 10^(16 - X) is a
+double (-6 <= X <= 16) lo = 0 and s + t = S exactly, so ties round half to
+even like "%.17g".  Elsewhere |S - s - t| <= (7 + 10u) u^2 S < 2^-46 for
+S < 2^57 (the pair, and one rounding each in |v| lo and e + |v| lo), and D
+is certain unless frac(S) lies within 2^-46 of 1/2.  Those values, inf and
+nan are formatted one at a time with "%.17g" instead.  A log10 one off (|v|
+next to a power of ten) puts S outside [1e16, 1e17); such values are taken
+again at the neighbouring X.
 
 Each value fills six little-endian 8-byte words, NUL where a byte is unused:
   word 0     sign, the "0.000" lead of 0 > X >= -4, the first digit, a point
@@ -16,24 +26,52 @@ Each value fills six little-endian 8-byte words, NUL where a byte is unused:
 so a block of rows is its words' bytes with the NULs deleted.
 """
 
-import math
-
 import numpy as np
 
 _BLOCK_ROWS = 1024
-_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of nonzero doubles
 _WORD = np.dtype("<u8")
 _SEPARATOR_SHIFT = 40  # bits: the separator is byte 5 of word 5
+_SPLITTER = 2.0**27 + 1  # Veltkamp: halves of at most 26 bits
 
 
-def _pow10_table() -> np.ndarray:
-    """10^k for k = 16 - X, correctly rounded by the string conversion."""
-    # powers above the long double range (only where it is a double, whose
-    # values all take the per-value path) are never read as numbers
-    k_max = int(np.finfo(np.longdouble).maxexp * math.log10(2))
-    powers = [f"1e{k}" if k <= k_max else "inf" for k in range(16 - _X_MAX, 17 - _X_MIN)]
-    return np.array(powers, dtype=np.longdouble)
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's halves of a, of at most 26 significant bits each."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p = a b rounded, and a b - p exactly (Dekker, 1971)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    e = a1 * b1 - p
+    e += a1 * b2
+    e += a2 * b1
+    e += a2 * b2
+    return p, e
+
+
+def _power_table() -> np.ndarray:
+    """Per X: the scale 2^s of |v|, the pair hi + lo for 10^(16 - X) 2^-s,
+    and the margin of frac(S) around 1/2 (0 where lo = 0: S is exact)."""
+    q, r = np.divmod(16 - np.arange(_X_MIN, _X_MAX + 1), 22)  # 10^r is a double
+    base = []  # 2^s and 10^(22 q) 2^-s correctly rounded to a pair, per q
+    for j in range(q.min(), q.max() + 1):
+        s = 192 if j > 9 else -192 if j < -8 else 0
+        num = 10 ** max(22 * j, 0) << max(-s, 0)
+        den = 10 ** max(-22 * j, 0) << max(s, 0)
+        high = num / den  # int / int is correctly rounded
+        n, d = high.as_integer_ratio()
+        base.append((2.0**s, high, (num * d - n * den) / (den * d)))
+    scale, base_hi, base_lo = np.array(base)[q - q.min()].T
+    ten = np.array([float(10**j) for j in range(22)])[r]
+    p, e = _two_product(base_hi, ten)
+    e += base_lo * ten
+    hi = p + e
+    lo = e - (hi - p)
+    return np.array([scale, hi, lo, np.where(lo == 0, 0.0, 2.0**-46)])
 
 
 def _words(chars: np.ndarray) -> np.ndarray:
@@ -88,30 +126,52 @@ def _mask_table() -> np.ndarray:
     return np.ascontiguousarray(_words(mask).reshape(17 * 18, 5).T)
 
 
-_POW10 = _pow10_table()
+_SCALE, _HI, _LO, _MARGIN = _power_table()
 _LEAD, _TAIL, _FIRST_FRACTION = _exponent_tables()
 _FIRST, _SPREAD, _TRAILING = _digit_tables()
 _MASKS = _mask_table()
 
 
-def _render_values(values: np.ndarray) -> np.ndarray:
-    """The (n, 6) words of the 1-D float64 `values` as "%.17g", separators unset."""
+def _scaled(a: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = round(S), half to even, and S - D in [-1/2, 1/2] for
+    S = a 10^(16 - X), `row` = X - X_MIN, as the module docstring bounds them."""
+    a = a * _SCALE[row]
+    s, t = _two_product(a, _HI[row])
+    t += a * _LO[row]
+    # s >= 2^53 is even, so s + rint(t) rounds S half to even
+    r = np.rint(t)
+    t -= r
+    return s.astype(np.int64) + r.astype(np.int64), t
+
+
+def _printf(values: np.ndarray) -> np.ndarray:
+    """The (n, 6) words of each of the 1-D `values` formatted with "%.17g"."""
+    text = ["%.17g" % v for v in values.tolist()]
+    words = np.zeros((len(text), 6), _WORD)
+    words[:, :5] = np.array(text, dtype="S40").view(_WORD).reshape(-1, 5)
+    return words
+
+
+def _render_values(values: np.ndarray, out: np.ndarray):
+    """Write the words of the float64 `values` as "%.17g" into `out`, of
+    shape values.shape + (6,), separators unset."""
+    v = values.ravel()
     with np.errstate(all="ignore"):
-        a = np.abs(values)
+        a = np.abs(v)
         normal = np.isfinite(a) & (a != 0)
         a[~normal] = 1.0
         x = np.floor(np.log10(a)).astype(np.intp)
-        s = a.astype(np.longdouble)
-        s *= _POW10[_X_MAX - x]  # 10^(16 - x)
-        d = s.astype(np.int64)
-        fraction = (s - d).astype(float)
-        margin = s.astype(float)
-        margin *= 4 * _LONGDOUBLE_EPS
-        certain = normal & (np.abs(fraction - 0.5) > margin) & (d >= 10**16)
-    d += fraction > 0.5
-    # a log10 one off leaves S outside [1e16, 1e17) or rounds it up to 1e17;
-    # such values go the slow way
-    certain &= d < 10**17
+    x -= _X_MIN  # now the row of the tables
+    d, f = _scaled(a, x)
+    # a log10 one off puts floor(S) outside [1e16, 1e17), and D may round up
+    # to 10^17: each moves to the neighbouring X, where a move down may round
+    # up to 10^17 and move back
+    off = np.flatnonzero((d - (f < 0) < 10**16) | (d >= 10**17))
+    while off.size:
+        x[off] += np.where(d[off] < 10**17, -1, 1)
+        d[off], f[off] = _scaled(a[off], x[off])
+        off = off[d[off] >= 10**17]
+    certain = normal & (0.5 - np.abs(f) >= _MARGIN[x])
     d[~certain] = 0  # zeros print as "0"; the others are overwritten below
     first = d // 10**16
     rest = d - first * 10**16
@@ -124,32 +184,41 @@ def _render_values(values: np.ndarray) -> np.ndarray:
     for group in groups[2::-1]:
         tz[zero] += _TRAILING[group[zero]]
         zero = zero[group[zero] == 0]
-    x -= _X_MIN  # now the row of the exponent tables
     key = _FIRST_FRACTION[x]
     key += 18 * tz
-    words = np.empty((values.size, 6), _WORD)
-    lead = _LEAD[2 * x + np.signbit(values)]
+    lead = _LEAD[2 * x + np.signbit(v)]
     lead |= _FIRST[first]
-    np.bitwise_and(lead, _MASKS[0][key], out=words[:, 0])
+    shape = values.shape
+    np.bitwise_and(lead.reshape(shape), _MASKS[0][key].reshape(shape), out=out[..., 0])
     for word, group in enumerate(groups, 1):
-        np.bitwise_and(_SPREAD[group], _MASKS[word][key], out=words[:, word])
-    np.take(_TAIL, x, out=words[:, 5])
-    slow = np.flatnonzero(~(certain | (values == 0)))
-    if slow.size:
-        text = ["%.17g" % v for v in values[slow].tolist()]
-        words[slow, :5] = np.array(text, dtype="S40").view(_WORD).reshape(-1, 5)
-        words[slow, 5] = 0
-    return words
+        np.bitwise_and(_SPREAD[group].reshape(shape), _MASKS[word][key].reshape(shape), out=out[..., word])
+    out[..., 5] = _TAIL[x].reshape(shape)
+    slow = ~(certain | (v == 0))
+    if slow.any():
+        out[slow.reshape(shape)] = _printf(v[slow])
+    return out
 
 
-def write_rows(handle, table: np.ndarray):
+def render(values: np.ndarray) -> np.ndarray:
+    """The (n, 6) words of the 1-D float64 `values`, for `write_rows`."""
+    return _render_values(values, np.empty((values.size, 6), _WORD))
+
+
+def write_rows(handle, table: np.ndarray, first_column: np.ndarray | None = None):
     """Write each row of the 2-D float64 `table` to the binary `handle` as
-    comma-separated "%.17g" values and a newline, 1024 rows at a time."""
+    comma-separated "%.17g" values and a newline, 1024 rows at a time.
+    `first_column`, if given, is `render(table[:, 0])`, rendered once for
+    every table that shares that column."""
     separators = np.full(table.shape[1], ord(","), _WORD)
     separators[-1] = ord("\n")
     separators <<= _SEPARATOR_SHIFT
+    given = int(first_column is not None)
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start : start + _BLOCK_ROWS]
-        words = _render_values(block.ravel())
-        words.reshape(*block.shape, 6)[:, :, 5] |= separators
+        words = np.empty((*block.shape, 6), _WORD)
+        if given:
+            words[:, 0] = first_column[start : start + _BLOCK_ROWS]
+        # column by column, so that each word's writes run down the block
+        _render_values(block[:, given:].T, words[:, given:].transpose(1, 0, 2))
+        words[:, :, 5] |= separators
         handle.write(words.tobytes().translate(None, b"\0"))

@@ -25,15 +25,19 @@ asymptotic bound is exact for every family; for derivative packets it is
 Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
 by zero or invalid operation while running is a runtime error (exit 2).
 Every slice is computed before any file is written, so a run that exits 2
-while computing creates no output directory and writes no file.  A run that
-succeeds deletes the `<scenario>_t<i>.csv`/`.svg` files an earlier run left in
-its directory that it did not write itself, and no other file.
+while computing creates no output directory and writes no file.  Slice files
+are written in each of `output.formats`; the summary is always CSV.  A run
+that succeeds deletes the `<scenario>_t<i>.csv`/`.svg` files an earlier run
+left in its directory that it did not write itself, and no other file.
 CSV numbers carry 17 significant digits so doubles round-trip exactly and
 reruns are byte-identical.  Each file is one 2-D float table, rendered 1024
-rows at a time by numpy digit arithmetic; a value whose 17 digits that
-arithmetic cannot prove (ties, near-ties, inf, nan) is formatted on its own
-with `%.17g`, so every value reads exactly as `f"{v:.17g}"`.  Each SVG
-polyline is one `%.2f` format call, the same bytes as `f"{v:.2f}"` per value.
+rows at a time by numpy in float64 arithmetic: an exact two-product of |v|
+with a pair of doubles for its power of ten gives the 17 digits, and only
+inf, nan and a value within the product's error bound of a tie are formatted
+on their own with `%.17g`, so every value reads exactly as `f"{v:.17g}"`.
+The slices share the grid, so its `x` column is rendered once per run.  Each
+SVG polyline is one `%.2f` format call, the same bytes as `f"{v:.2f}"` per
+value.
 """
 
 from __future__ import annotations
@@ -386,16 +390,16 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
     return ScenarioConfig(*cfg.values())
 
 
-def _write_csv(path: Path, header: list[str], table):
+def _write_csv(path: Path, header: list[str], table, first_column=None):
     """Header line, then one line per row of the 2-D float `table`, each value
-    as `f"{v:.17g}"` prints it."""
+    as `f"{v:.17g}"` prints it; `first_column` is as in `_csvtext.write_rows`."""
     # the renderer's code and tables hold about 0.5 MB of resident memory, so
     # the first CSV write loads it, not the import of this module
     from ._csvtext import write_rows
 
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
-        write_rows(handle, np.asarray(table, dtype=float))
+        write_rows(handle, np.asarray(table, dtype=float), first_column)
 
 
 def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
@@ -463,35 +467,41 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, grid, packet)
     # every slice's table and row are computed before any file is written, so a
     # failed run writes nothing
+    x = grid.points
     tables, rows = [], []
     for t in cfg.times:
         field, row = slice_at(t)
-        tables.append(_slice_table(cfg, field, t))
+        tables.append(_slice_table(cfg, x, field.values, t))
         rows.append(row)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if "csv" in cfg.formats:
+        # every slice table's first column is x, so its text is rendered once
+        from ._csvtext import render  # loaded here, as in _write_csv
+
+        x_words = render(x)
     for index, (t, (slice_header, table)) in enumerate(zip(cfg.times, tables)):
         stem = out_dir / f"{cfg.scenario}_t{index}"
-        _write_csv(stem.with_suffix(".csv"), slice_header, table)
+        if "csv" in cfg.formats:
+            _write_csv(stem.with_suffix(".csv"), slice_header, table, x_words)
         if "svg" in cfg.formats:
             title = f"{cfg.scenario}: density at t = {t:.17g}"
             _write_svg(stem.with_suffix(".svg"), table[:, 0], table[:, 3], title)  # x, density
     _write_csv(out_dir / f"{cfg.scenario}_summary.csv", header, rows)
     # an earlier run into the same directory may have left slice files that
-    # this one did not write: higher indices, or svg files it was not asked for
+    # this one did not write: higher indices, or formats it was not asked for
     slice_name = re.compile(re.escape(cfg.scenario) + r"_t(0|[1-9][0-9]*)\.(csv|svg)")
     for path in out_dir.iterdir():
         match = slice_name.fullmatch(path.name)
         if match is None or not path.is_file():
             continue
-        if int(match[1]) >= len(cfg.times) or (match[2] == "svg" and "svg" not in cfg.formats):
+        if int(match[1]) >= len(cfg.times) or match[2] not in cfg.formats:
             path.unlink()
     return EXIT_OK
 
 
-def _slice_table(cfg: ScenarioConfig, field, t: float):
+def _slice_table(cfg: ScenarioConfig, x: np.ndarray, values: np.ndarray, t: float):
     """One time slice's header and table (plus the rescaled pair for fig2/fig4)."""
-    x, values = field.grid.points, field.values
     density = np.abs(values) ** 2
     header = ["x", "re_psi", "im_psi", "density"]
     columns = [x, values.real, values.imag, density]

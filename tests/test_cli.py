@@ -2,6 +2,7 @@ import csv
 import math
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,23 @@ def test_a_rerun_removes_only_its_own_stale_slice_files(tmp_path):
     assert len(read_csv(out / "fig1_summary.csv")) == 2
 
 
+FIG1_SVG_RUN = {f"fig1_t{i}.svg" for i in range(7)} | {"fig1_summary.csv"}
+
+
+def test_an_svg_only_run_writes_no_slice_csv(tmp_path):
+    cfg = parse_config(f"scenario = fig1\ngrid.n = 256\noutput.dir = {tmp_path}\noutput.formats = svg")
+    assert run_scenario(cfg) == EXIT_OK
+    assert {p.name for p in tmp_path.iterdir()} == FIG1_SVG_RUN
+
+
+def test_an_svg_only_rerun_removes_the_slice_csvs(tmp_path):
+    document = f"scenario = fig1\ngrid.n = 256\noutput.dir = {tmp_path}\noutput.formats = "
+    assert run_scenario(parse_config(document + "csv, svg")) == EXIT_OK
+    assert (tmp_path / "fig1_t0.csv").is_file()
+    assert run_scenario(parse_config(document + "svg")) == EXIT_OK
+    assert {p.name for p in tmp_path.iterdir()} == FIG1_SVG_RUN
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -845,28 +863,76 @@ def test_write_csv_on_arbitrary_bit_patterns(tmp_path, table):
     assert_renders_like_reference(tmp_path, np.array(table, dtype=np.uint64).view(np.float64))
 
 
-def test_write_csv_when_every_value_takes_the_per_value_path(tmp_path, monkeypatch):
-    # with a double's eps the margin 4 eps S exceeds 1/2 for every S >= 1e16,
-    # as where long double is only a double, so no value is proven
-    assert 4 * np.finfo(np.float64).eps * 1e16 > 0.5
-    monkeypatch.setattr(freepacket._csvtext, "_LONGDOUBLE_EPS", float(np.finfo(np.float64).eps))
+@pytest.fixture
+def per_value(monkeypatch):
+    """Every value the renderer formats on its own with "%.17g"."""
+    seen = []
+    printf = freepacket._csvtext._printf
+
+    def recording(values):
+        seen.extend(values.tolist())
+        return printf(values)
+
+    monkeypatch.setattr(freepacket._csvtext, "_printf", recording)
+    return seen
+
+
+def test_write_csv_when_every_value_takes_the_per_value_path(tmp_path, monkeypatch, per_value):
+    # frac(S) never lies more than 1/2 from 1/2, so with a margin of 1 no
+    # value is proven
+    margin = freepacket._csvtext._MARGIN
+    monkeypatch.setattr(freepacket._csvtext, "_MARGIN", np.ones_like(margin))
     rng = np.random.default_rng(6)
     table = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-300, 300, size=(300, 4))
     table[::5, 1] = [0.0, -0.0, math.inf, math.nan, 5e-324, 1e-5] * 10
     assert_renders_like_reference(tmp_path, table)
+    assert len(per_value) == np.count_nonzero(table)  # zeros print as "0" either way
 
 
-def test_powers_of_ten_are_correctly_rounded():
-    from fractions import Fraction
+def test_power_pairs_are_within_the_bound_of_the_product():
+    text = freepacket._csvtext
+    u = Fraction(1, 2**53)
+    # the product's error bound at S < 2^57 lies below the margin
+    assert (7 + 10 * u) * u**2 * 2**57 < Fraction(2.0**-46)
+    tables = (text._SCALE, text._HI, text._LO, text._MARGIN)
+    for row, x in enumerate(range(text._X_MIN, text._X_MAX + 1)):
+        scale, hi, lo, margin = (Fraction(float(table[row])) for table in tables)
+        assert scale in (1, Fraction(2) ** 192, Fraction(2) ** -192), x
+        exact = Fraction(10) ** (16 - x) / scale
+        assert abs(exact - hi - lo) <= (4 + 2 * u) * u**2 * exact, x
+        assert abs(lo) <= u * hi, x
+        assert margin == (0 if lo == 0 else Fraction(2.0**-46)), x
+        assert (lo == 0) == (hi == exact), x
+        # every scaled |v| of this X, hi, and their Veltkamp splits stay
+        # normal and finite
+        smallest = max(Fraction(10) ** x, Fraction(2) ** -1074) * scale
+        assert smallest >= Fraction(2) ** (-1022 + 53) and hi >= Fraction(2) ** (-1022 + 53), x
+        assert max(Fraction(10) ** (x + 1) * scale, hi) * (2**27 + 1) < Fraction(2) ** 1024, x
 
-    k_max = int(np.finfo(np.longdouble).maxexp * math.log10(2))
-    ulp_half = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
-    powers = freepacket._csvtext._POW10
-    for k, power in zip(range(16 - 308, 16 + 325), powers):
-        if k > k_max:
-            continue
-        exact = Fraction(10) ** k
-        assert abs(Fraction(*power.as_integer_ratio()) - exact) <= ulp_half * exact, k
+
+def test_ties_at_every_power_render_like_the_reference(tmp_path, per_value):
+    # S = |v| 10^k is exactly n + 1/2 only for v = M 2^-(k + 1), M odd, which
+    # needs 1 <= k <= 24; for k <= 22 10^k is a double, the product exact and
+    # the tie decided without "%.17g"
+    ties = {}
+    for k in range(1, 25):
+        scale = 2 ** (k + 1)
+        low, high = Fraction(10) ** (16 - k) * scale, Fraction(10) ** (17 - k) * scale
+        odd = range(math.ceil(low) | 1, math.ceil(min(high, 2**53)), 2)
+        ties[k] = [math.ldexp(m, -(k + 1)) for m in [*odd[:3], *odd[-3:]]]
+        assert ties[k], k
+        assert all((2 * Fraction(v) * 10**k).denominator == 1 for v in ties[k]), k
+    values = np.array([v for k in ties for v in ties[k]])
+    assert_renders_like_reference(tmp_path, np.concatenate([values, -values]).reshape(-1, 1))
+    assert sorted(map(abs, per_value)) == sorted(2 * (ties[23] + ties[24]))
+
+
+def test_default_tables_format_no_finite_value_one_at_a_time(tmp_path, per_value):
+    for scenario in SCENARIOS:
+        cfg = parse_config(f"scenario = {scenario}\noutput.dir = {tmp_path / scenario}")
+        assert run_scenario(cfg) == EXIT_OK
+    # the summaries hold inf and nan, which only "%.17g" prints
+    assert per_value and not any(math.isfinite(v) for v in per_value)
 
 
 def test_default_outputs_match_per_value_format(tmp_path):
