@@ -67,7 +67,6 @@ from .packets import (
     GaussianFamily,
     SquareFamily,
     derivative_packet,
-    gaussian_chi,
     hermite_gauss,
     sample,
     square_exact,
@@ -111,13 +110,12 @@ def _packet(cfg: ScenarioConfig) -> _Packet:
 
         return _Packet(evaluate, cfg.a / math.sqrt(12.0), Grid.centered_offset, False)
     fam = GaussianFamily(params=p, tau=cfg.tau)
-    gamma0 = math.sqrt(p.hbar * cfg.tau / p.mass)
-    if cfg.family == "gaussian":
-        return _Packet(lambda x, t: gaussian_chi(fam, x, t), gamma0 / math.sqrt(2.0))
-    if cfg.family == "hermite-gauss":
-        return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5))
-    spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
-    return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread)
+    gamma0 = fam.gamma(0.0)
+    if cfg.family == "derivative":
+        spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
+        return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread)
+    n = n or 0  # the gaussian is Hermite-Gauss order 0
+    return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5))
 
 
 # A summary kind takes (cfg, grid, packet) and returns the summary header

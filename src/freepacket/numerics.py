@@ -160,7 +160,8 @@ def _require_position(f: ComplexField, who: str):
 
 def _cis(theta):
     """exp(i theta) for real theta: cos into the real part and sin into the
-    imaginary part of one new complex array.
+    imaginary part of one new complex array (0-d for a scalar theta), which
+    callers may scale in place.
 
     np.exp(1j * theta) evaluates the same cos and sin, so the two agree to
     one ulp (bitwise on the numpy builds measured).  numpy divides a complex
@@ -172,7 +173,7 @@ def _cis(theta):
     out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
-    return out if out.ndim else out[()]
+    return out
 
 
 def _trapz(values: np.ndarray, step: float) -> float:

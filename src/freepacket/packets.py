@@ -1,16 +1,22 @@
 """Closed-form free-particle packet families, evaluable at arbitrary (x, t).
 
-Two families built on the complex Gaussian
-
-    chi(x,t) = (m tau / pi hbar)^(1/4) (t - i tau)^(-1/2)
-               exp[ i m x^2 / (2 hbar (t - i tau)) ]
+Each Gaussian form is written in the packet's own units: lengths in
+gamma0 = sqrt(hbar tau / m), times as s = t / tau, positions as
+u = x / gamma(t) with gamma(t) = gamma0 sqrt(1 + s^2), and amplitudes in
+1/sqrt(gamma).  m and hbar enter only through gamma0, so no form multiplies
+m, hbar or t or squares an unscaled position, and each gives the same
+numbers in these units for any m and hbar (tested from 1e-300 to 1e308).
 
  * the Hermite-Gauss packets chi_n, generated by the invariant raising
    operator b+ = m x - p (t + i tau); they are shape-invariant, spreading
-   only through the scale gamma(t) = sqrt(hbar (t^2 + tau^2) / (m tau));
+   only through gamma(t).  The free Gaussian is chi_0:
+
+       chi(x,t) = pi^(-1/4) gamma^(-1/2) exp[i (s u^2 - beta) / 2] exp(-u^2 / 2)
+                = (m tau / pi hbar)^(1/4) (t - i tau)^(-1/2) exp[i m x^2 / (2 hbar (t - i tau))];
 
  * the derivative packets (n-th spatial derivatives of chi), which are
-   Hermite-Gaussians with the *complex* scale kappa and do change shape.
+   Hermite-Gaussians with the *complex* scale kappa = k / gamma0,
+   k = sqrt(-i / (2 (s - i))), and do change shape.
 
 Plus the square packet with its sinc momentum function and its exact
 evolution in terms of Fresnel integrals, and the Galilean boost that turns
@@ -70,9 +76,13 @@ class GaussianFamily:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def gamma(self, t: float) -> float:
-        """Time-varying length scale gamma(t) = sqrt(hbar (t^2+tau^2)/(m tau))."""
+        """Length scale gamma(t) = gamma0 sqrt(1 + s^2), gamma0 = sqrt(hbar tau / m), s = t / tau.
+
+        gamma(0) is gamma0 exactly.
+        """
         p = self.params
-        return math.sqrt(p.hbar * (t**2 + self.tau**2) / (p.mass * self.tau))
+        gamma0 = math.sqrt(p.hbar) * math.sqrt(self.tau) / math.sqrt(p.mass)
+        return gamma0 * math.hypot(t / self.tau, 1.0)
 
     def beta(self, t: float) -> float:
         """Phase angle with e^{i beta} = sqrt(t - i tau)/sqrt(t + i tau).
@@ -84,10 +94,10 @@ class GaussianFamily:
     def kappa(self, t: float) -> complex:
         """Complex inverse length, kappa^2 = -i m / (2 hbar (t - i tau)).
 
-        Principal branch; real positive at t = 0.
+        Taken as sqrt(-i / (2 (s - i))) / gamma0: principal branch, real
+        positive (1 / (sqrt(2) gamma0)) at t = 0.
         """
-        p = self.params
-        return complex(np.sqrt(-1j * p.mass / (2 * p.hbar * (t - 1j * self.tau))))
+        return cmath.sqrt(-0.5j / (t / self.tau - 1j)) / self.gamma(0.0)
 
 
 @dataclass(frozen=True)
@@ -103,11 +113,8 @@ class SquareFamily:
 
 
 def gaussian_chi(fam: GaussianFamily, x, t: float):
-    """The free Gaussian packet chi(x,t); |chi|^2 = exp(-x^2/gamma^2)/(gamma sqrt(pi))."""
-    p = fam.params
-    x = np.asarray(x, dtype=float)
-    amp = (p.mass * fam.tau / (np.pi * p.hbar)) ** 0.25 / np.sqrt(t - 1j * fam.tau)
-    return amp * np.exp(1j * p.mass * x**2 / (2 * p.hbar * (t - 1j * fam.tau)))
+    """The free Gaussian packet chi(x,t) = chi_0; |chi|^2 = exp(-u^2)/(gamma sqrt(pi))."""
+    return hermite_gauss(fam, 0, x, t)
 
 
 def _hermite_functions(n: int, z, g):
@@ -128,20 +135,31 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     """Shape-invariant Hermite-Gauss packet chi_n(x,t), unit norm for every t.
 
     chi_n = pi^(-1/4) (gamma 2^n n!)^(-1/2)
-            exp[i(theta - (n + 1/2) beta)] exp(-x^2/2 gamma^2) H_n(x/gamma)
+            exp[i(s u^2 / 2 - (n + 1/2) beta)] exp(-u^2 / 2) H_n(u)
 
-    with theta = t x^2 / (2 tau gamma^2) and beta as in GaussianFamily.beta.
+    with u = x / gamma(t), s = t / tau and beta as in GaussianFamily.beta.
     The phase exponent -(n + 1/2) beta is fixed by requiring each chi_n to
     satisfy the free Schrodinger equation (oscillator-like ladder phases);
-    chi_0 coincides exactly with gaussian_chi.
+    chi_0 is gaussian_chi.
     """
     if not isinstance(n, (int, np.integer)) or n < 0 or n > HERMITE_GAUSS_MAX_ORDER:
         raise ValueError(f"order must be an integer in [0, {HERMITE_GAUSS_MAX_ORDER}], got {n}")
     x = np.asarray(x, dtype=float)
     g = fam.gamma(t)
     u = x / g
-    values = _hermite_functions(n, u, np.pi**-0.25 / math.sqrt(g) * np.exp(-0.5 * u**2))
-    return _cis(t * x**2 / (2 * fam.tau * g**2) - (n + 0.5) * fam.beta(t)) * values
+    seed = u * u
+    phase = seed * (0.5 * t / fam.tau)
+    phase -= (n + 0.5) * fam.beta(t)
+    seed *= -0.5
+    values = _hermite_functions(n, u, np.pi**-0.25 / math.sqrt(g) * np.exp(seed))
+    # u and u^2 lie side by side, so exp(i phase) can take their place: the
+    # peak stays at four position-sized arrays, and on 65536 points fewer
+    # fresh pages are faulted in than with the result allocated above them
+    del u, seed
+    psi = _cis(phase)
+    psi.real *= values
+    psi.imag *= values
+    return psi[()]
 
 
 def apply_b_dagger(f: ComplexField, fam: GaussianFamily, t: float) -> ComplexField:
@@ -163,18 +181,19 @@ def derivative_packet(fam: GaussianFamily, n: int, x, t: float):
 
     Evaluates c_n kappa^(n+1) H_n(kappa x) exp(-kappa^2 x^2) with the
     principal-branch kappa of GaussianFamily.kappa and a real constant c_n
-    giving unit L2 norm at every t.  Real at t = 0; unlike the chi_n these
-    packets change shape as they evolve.
+    giving unit L2 norm at every t, taken from the logarithms of
+    kappa gamma0 = sqrt(-i / (2 (s - i))) and gamma0.  kappa stays in range
+    wherever gamma0 does, so z = kappa x is formed directly.
+    Real at t = 0; unlike the chi_n these packets change shape as they evolve.
     """
     if not isinstance(n, (int, np.integer)) or n < 0 or n > DERIVATIVE_MAX_ORDER:
         raise ValueError(f"order must be an integer in [0, {DERIVATIVE_MAX_ORDER}], got {n}")
     x = np.asarray(x, dtype=float)
-    kappa = fam.kappa(t)
+    kappa, g0 = fam.kappa(t), fam.gamma(0.0)
     # c_n kappa^(n+1) sqrt(2^n n!) from logarithms, with c_n fixed at t = 0 by
     # ||kappa0^(n+1) H_n(kappa0 x) e^(-kappa0^2 x^2)||^2 = kappa0^(2n+1) 2^(n-1/2) Gamma(n+1/2)
-    p = fam.params
-    log_kappa0 = 0.5 * (math.log(p.mass) - math.log(2.0) - math.log(p.hbar) - math.log(fam.tau))
-    log_c = (n + 1) * cmath.log(kappa) - (n + 0.5) * log_kappa0 + 0.25 * math.log(2.0)
+    # and kappa0 = 1 / (sqrt(2) gamma0)
+    log_c = (n + 1) * cmath.log(math.sqrt(2.0) * g0 * kappa) - 0.5 * math.log(g0)
     log_c += 0.5 * (math.lgamma(n + 1) - math.lgamma(n + 0.5))
     z = kappa * x
     return _hermite_functions(n, z, np.exp(-(z**2))) * cmath.exp(log_c)
@@ -185,14 +204,17 @@ def derivative_packet_asymptote(fam: GaussianFamily, x, t: float):
 
     N' (x^2 / t^(5/2)) exp(-m tau x^2 / (2 hbar t^2)) with
     N' = 2 (m^5 tau^5 / (9 pi hbar^5))^(1/4); its square integrates to 1.
+    In the packet's units this is 2 (9 pi)^(-1/4) gamma0^(-1/2) u0^2 s^(-5/2)
+    exp(-u0^2 / (2 s^2)) with u0 = x / gamma0, evaluated as
+    2 (9 pi)^(-1/4) (gamma0 s)^(-1/2) v^2 exp(-v^2 / 2) with v = u0 / s.
     Vanishes at x = 0: the central hump of the packet dies out at large t.
     """
     if not t > 0:
         raise ValueError(f"asymptote requires t > 0, got {t}")
-    p = fam.params
     x = np.asarray(x, dtype=float)
-    n_prime = 2 * (p.mass**5 * fam.tau**5 / (9 * np.pi * p.hbar**5)) ** 0.25
-    return n_prime * x**2 / t**2.5 * np.exp(-p.mass * fam.tau * x**2 / (2 * p.hbar * t**2))
+    scale = fam.gamma(0.0) * (t / fam.tau)
+    v2 = np.square(x / scale)
+    return 2 * (9 * np.pi) ** -0.25 / math.sqrt(scale) * v2 * np.exp(-0.5 * v2)
 
 
 def square_initial(fam: SquareFamily, x):
@@ -202,11 +224,14 @@ def square_initial(fam: SquareFamily, x):
 
 
 def square_momentum(fam: SquareFamily, p):
-    """Momentum wave function of the square packet: sqrt(a/2 pi hbar) sinc(a p / 2 hbar)."""
-    hbar = fam.params.hbar
+    """Momentum wave function of the square packet: sqrt(a/2 pi hbar) sinc(a p / 2 hbar).
+
+    With c = a / hbar / (2 pi) this is sqrt(c) np.sinc(c p), so no product
+    of hbar is formed.
+    """
     p = np.asarray(p, dtype=float)
-    z = fam.a * p / (2 * hbar)
-    return (math.sqrt(fam.a / (2 * np.pi * hbar)) * np.sinc(z / np.pi)).astype(complex)
+    c = fam.a / fam.params.hbar / (2 * np.pi)
+    return (math.sqrt(c) * np.sinc(c * p)).astype(complex)
 
 
 def square_exact(fam: SquareFamily, x, t: float):
@@ -219,8 +244,10 @@ def square_exact(fam: SquareFamily, x, t: float):
         F(u) = C(u) + i S(u),
 
     for t > 0; t < 0 follows from time-reversal symmetry about the real
-    initial instant, psi(x,-t) = conj(psi(x,t)).  Validated against direct
-    quadrature of the propagator integral in the test suite.
+    initial instant, psi(x,-t) = conj(psi(x,t)).  The scale is taken as
+    sqrt(m/pi) / sqrt(hbar) / sqrt(t), so neither m/(pi hbar t) nor pi hbar t
+    is formed.  Validated against direct quadrature of the propagator
+    integral in the test suite.
     """
     if t == 0:
         raise ValueError("square_exact is for t != 0; use square_initial at t = 0")
@@ -228,7 +255,7 @@ def square_exact(fam: SquareFamily, x, t: float):
         return np.conj(square_exact(fam, x, -t))
     p = fam.params
     x = np.asarray(x, dtype=float)
-    root = math.sqrt(p.mass / (np.pi * p.hbar * t))
+    root = math.sqrt(p.mass / np.pi) / math.sqrt(p.hbar) / math.sqrt(t)
     c_hi, s_hi = fresnel(root * (fam.a / 2 - x))
     c_lo, s_lo = fresnel(root * (-fam.a / 2 - x))
     diff = (c_hi - c_lo) + 1j * (s_hi - s_lo)

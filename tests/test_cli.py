@@ -489,6 +489,29 @@ def test_spread_law_holds_for_heavy_packets(tmp_path, config):
     assert np.all(column(rows, "rel_gap") <= 1e-6)
 
 
+@pytest.mark.parametrize("scenario", ["fig3", "fig4"])
+def test_square_figures_run_for_a_heavy_packet(tmp_path, scenario):
+    # m / (pi hbar t) in the Fresnel argument scale overflowed at this mass
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"scenario = {scenario}\nphysics.mass = 1e308\nfamily.a = 1e-154\n"
+        f"grid.half_width = 6.4e-153\noutput.dir = {tmp_path / 'out'}\n"
+    )
+    assert main(["--config", str(cfg_path), "--strict"]) == EXIT_OK
+
+
+def test_gaussian_family_writes_the_bytes_of_hermite_gauss_order_zero(tmp_path):
+    # the gaussian is chi_0, evaluated by the same code with the same spread
+    written = {}
+    families = {"gaussian": "family = gaussian", "chi0": "family = hermite-gauss\nfamily.n = 0"}
+    for name, family in families.items():
+        out = tmp_path / name
+        cfg = parse_config(f"{family}\nfamily.tau = 0.7\noutput.formats = csv, svg\noutput.dir = {out}")
+        assert run_scenario(cfg) == EXIT_OK
+        written[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert written["gaussian"] == written["chi0"]
+
+
 def test_derivative_spread_survives_an_overflowing_mass_product():
     # (4n - 2) m overflows at this mass, and the spread once read 0
     cfg = parse_config("family = derivative\nphysics.mass = 1e308")
@@ -517,7 +540,7 @@ def test_packet_facts_match_the_sampled_packet(config):
 
 def test_every_closed_form_is_looked_up_when_called(tmp_path, monkeypatch):
     # a tracer counts packet evaluations by replacing these names in freepacket.cli
-    calls = dict.fromkeys(["gaussian_chi", "hermite_gauss", "derivative_packet", "square_exact"], 0)
+    calls = dict.fromkeys(["hermite_gauss", "derivative_packet", "square_exact"], 0)
 
     def counting(name, function):
         def wrapper(*args):

@@ -17,18 +17,25 @@ from freepacket import (
     PhysicsParams,
     Representation,
     SquareFamily,
+    asymptotic_error_bound,
+    asymptotic_form,
     derivative_packet,
+    derivative_packet_asymptote,
     from_momentum,
     galilean_boost,
     gaussian_chi,
     hermite_gauss,
     moments,
+    propagate_quadrature,
     propagate_spectral,
     sample,
     short_time_approx,
+    short_time_error_bound,
     spread_law_from_state,
     spread_prediction,
+    square_exact,
     square_initial,
+    square_momentum,
     timescale_tx_initial,
     timescales,
     to_momentum,
@@ -444,3 +451,78 @@ def test_spread_law_path_is_scale_covariant(params):
         # its rounding is amplified
         rel = 1e-10 if name == "short_sup" else 1e-12
         assert got[name] == pytest.approx(value, rel=rel, abs=0), name
+
+
+# The closed forms take m and hbar only through gamma0, so they hold up to
+# hbar = 1e308 (gamma0 = 1e154), where the spectral lattice and moments
+# square positions near 1e155 and stop.
+CLOSED_FORM_SCALE_CASES = {**SCALE_CASES, "hbar=1e+308": PhysicsParams(hbar=1e308)}
+TAU = 0.7
+U = np.linspace(-12.0, 12.0, 97)
+
+# each public closed form at x = gamma0 u, the Gaussian ones at t = 2 tau and
+# the square of width a = gamma0 (time unit m a^2 / hbar = tau) at t = 0.05 tau
+CLOSED_FORMS = {
+    "gaussian_chi": lambda fam, square, x: gaussian_chi(fam, x, 2 * TAU),
+    "hermite_gauss": lambda fam, square, x: hermite_gauss(fam, 5, x, 2 * TAU),
+    "derivative_packet": lambda fam, square, x: derivative_packet(fam, 3, x, 2 * TAU),
+    "derivative_packet_asymptote": lambda fam, square, x: derivative_packet_asymptote(fam, x, 2 * TAU),
+    "square_exact": lambda fam, square, x: square_exact(square, x, 0.05 * TAU),
+    # at p = (hbar / gamma0) (x / gamma0), times sqrt(hbar) / gamma0
+    "square_momentum": lambda fam, square, x: (
+        math.sqrt(fam.params.hbar)
+        / square.a
+        * square_momentum(square, fam.params.hbar / square.a * (x / square.a))
+    ),
+}
+
+
+def _scale_free_form(form, params):
+    fam = GaussianFamily(params=params, tau=TAU)
+    gamma0 = fam.gamma(0.0)
+    return math.sqrt(gamma0) * form(fam, SquareFamily(params=params, a=gamma0), gamma0 * U)
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+@pytest.mark.parametrize("params", CLOSED_FORM_SCALE_CASES.values(), ids=CLOSED_FORM_SCALE_CASES.keys())
+def test_closed_forms_are_scale_covariant(params, form):
+    expected = _scale_free_form(form, PhysicsParams())
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got = _scale_free_form(form, params)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def _scale_free_oracle(params):
+    """The n = 2 derivative packet moved by quadrature, spectral and asymptotic
+    evolution, in gamma0 and tau, with both error bounds."""
+    fam = GaussianFamily(params=params, tau=TAU)
+    gamma0 = fam.gamma(0.0)
+    g = Grid.centered(32 * gamma0, 1024)
+    psi0 = sample(lambda x, t: derivative_packet(fam, 2, x, t), g, 0.0)
+    m0 = moments(psi0, params)
+    t = 2 * TAU
+    root = math.sqrt(gamma0)
+    fields = {
+        "quadrature": root * propagate_quadrature(psi0, t, params).field.values,
+        "spectral": root * propagate_spectral(psi0, t, params).field.values,
+        "asymptotic": root
+        * asymptotic_form(to_momentum(psi0, params), m0.mean_x, t, params).field.values,
+    }
+    bounds = {
+        "short_time": gamma0 * short_time_error_bound(m0.delta_p, t, params),
+        "asymptotic": gamma0 * asymptotic_error_bound(m0.delta_x, t, params),
+    }
+    return fields, bounds
+
+
+@pytest.mark.parametrize("params", SCALE_CASES.values(), ids=SCALE_CASES.keys())
+def test_oracle_and_bounds_are_scale_covariant(params):
+    expected_fields, expected_bounds = _scale_free_oracle(PhysicsParams())
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        fields, bounds = _scale_free_oracle(params)
+    quadrature_gap = np.max(np.abs(fields["quadrature"] - fields["spectral"]))
+    assert quadrature_gap <= 1e-8 * np.max(np.abs(fields["spectral"]))
+    for name, values in expected_fields.items():
+        assert np.max(np.abs(fields[name] - values)) <= 1e-9 * np.max(np.abs(values)), name
+    for name, value in expected_bounds.items():
+        assert bounds[name] == pytest.approx(value, rel=1e-12, abs=0), name
