@@ -6,18 +6,20 @@ D = round(|v| 10^(16 - X)), rounded half to even, X the decimal exponent of
 -4 <= X <= 16, else as d.ddd...e±XX, and without the fraction's trailing
 zeros.  `_scaled` takes S = |v| 10^(16 - X) as s + t in float64 arithmetic:
 s + e is Dekker's exact two-product (1971) of |v| with hi, and
-t = e + |v| lo, where hi + lo is 10^(16 - X) to within a relative
-(4 + 2u) u^2 (u = 2^-53): Dekker's product of a correctly rounded pair for
-10^(22 q) with the double 10^r, 16 - X = 22 q + r.  For X < -203 (X > 192) |v| is first
-scaled by 2^192 (2^-192) and the power by the inverse, so neither Veltkamp's
-split nor a partial product leaves the normal range.  Where 10^(16 - X) is a
-double (-6 <= X <= 16) lo = 0 and s + t = S exactly, so ties round half to
-even like "%.17g".  Elsewhere |S - s - t| <= (7 + 10u) u^2 S < 2^-46 for
-S < 2^57 (the pair, and one rounding each in |v| lo and e + |v| lo), and D
-is certain unless frac(S) lies within 2^-46 of 1/2.  Those values, inf and
-nan are formatted one at a time with "%.17g" instead.  A log10 one off (|v|
-next to a power of ten) puts S outside [1e16, 1e17); such values are taken
-again at the neighbouring X.
+t = e + |v| lo, where hi is 10^(16 - X) correctly rounded and lo the
+remainder correctly rounded, both from Python integers, so hi + lo is
+10^(16 - X) to within a relative u^2 (u = 2^-53).  For X < -203 (X > 192)
+|v| is first scaled by 2^192 (2^-192) and the power by the inverse, so
+neither Veltkamp's split nor a partial product leaves the normal range.
+Where 10^(16 - X) is a double (-6 <= X <= 16) lo = 0 and s + t = S exactly,
+so ties round half to even like "%.17g".  Elsewhere |S - s - t| <=
+(4 + 6u) u^2 S < 2^-46 for S < 2^57 (u^2 from the pair, (1 + u) u^2 from
+rounding |v| lo, since |lo| <= (1 + u) u 10^(16 - X), and 2 (1 + u)^2 u^2
+from rounding e + |v| lo, since |e| and |v lo| are each at most
+(1 + u)^2 u S), and D is certain unless frac(S) lies within 2^-46 of 1/2.
+Those values, inf and nan are formatted one at a time with "%.17g" instead.
+A log10 one off (|v| next to a power of ten) puts S outside [1e16, 1e17);
+such values are taken again at the neighbouring X.
 
 Each value fills six little-endian 8-byte words, NUL where a byte is unused:
   word 0     sign, the "0.000" lead of 0 > X >= -4, the first digit, a point
@@ -55,23 +57,18 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _power_table() -> np.ndarray:
     """Per X: the scale 2^s of |v|, the pair hi + lo for 10^(16 - X) 2^-s,
-    and the margin of frac(S) around 1/2 (0 where lo = 0: S is exact)."""
-    q, r = np.divmod(16 - np.arange(_X_MIN, _X_MAX + 1), 22)  # 10^r is a double
-    base = []  # 2^s and 10^(22 q) 2^-s correctly rounded to a pair, per q
-    for j in range(q.min(), q.max() + 1):
-        s = 192 if j > 9 else -192 if j < -8 else 0
-        num = 10 ** max(22 * j, 0) << max(-s, 0)
-        den = 10 ** max(-22 * j, 0) << max(s, 0)
-        high = num / den  # int / int is correctly rounded
-        n, d = high.as_integer_ratio()
-        base.append((2.0**s, high, (num * d - n * den) / (den * d)))
-    scale, base_hi, base_lo = np.array(base)[q - q.min()].T
-    ten = np.array([float(10**j) for j in range(22)])[r]
-    p, e = _two_product(base_hi, ten)
-    e += base_lo * ten
-    hi = p + e
-    lo = e - (hi - p)
-    return np.array([scale, hi, lo, np.where(lo == 0, 0.0, 2.0**-46)])
+    each correctly rounded from Python integers, and the margin of frac(S)
+    around 1/2 (0 where lo = 0: S is exact)."""
+    rows = []
+    for x in range(_X_MIN, _X_MAX + 1):
+        k, s = 16 - x, 192 if x < -203 else -192 if x > 192 else 0
+        num = 10 ** max(k, 0) << max(-s, 0)
+        den = 10 ** max(-k, 0) << max(s, 0)
+        hi = num / den  # int / int is correctly rounded
+        n, d = hi.as_integer_ratio()
+        lo = (num * d - n * den) / (den * d)  # the remainder, correctly rounded
+        rows.append((2.0**s, hi, lo, 0.0 if lo == 0 else 2.0**-46))
+    return np.array(rows).T
 
 
 def _words(chars: np.ndarray) -> np.ndarray:

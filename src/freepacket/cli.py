@@ -47,6 +47,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -281,8 +282,10 @@ def _power_of_two(text: str, cfg: dict) -> int:
 def _absolute_times(natural: tuple[float, ...], cfg: dict) -> tuple[float, ...]:
     unit, a = cfg["family.tau"], cfg["family.a"]
     if cfg["family"] == "square":
+        # m a^2 / hbar correctly rounded from the exact rational, so no a^2 underflows
+        exact = Fraction(cfg["physics.mass"]) * Fraction(a) ** 2 / Fraction(cfg["physics.hbar"])
         try:
-            unit = cfg["physics.mass"] * a**2 / cfg["physics.hbar"]
+            unit = float(exact)
         except OverflowError:
             raise ConfigError(f"time unit m a^2/hbar overflows for family.a = {a}") from None
     times = tuple(v * unit for v in natural)

@@ -4,14 +4,16 @@ The spectral propagator is exact up to discretization (multiply the momentum
 wave function by exp(-i p^2 t / 2 m hbar), one FFT pair on the integer
 lattice k = p / dp in FFT order); the direct quadrature propagator is its
 deliberately independent O(N^2) oracle.  On the uniform grid the free kernel
-exp[i m (x_j - x_k)^2 / 2 hbar t] depends only on j - k, so the quadrature
-is a direct Toeplitz sum over one chirp row: 2N-1 kernel exps, N x S complex
-multiply-adds over the S points from the first to the last nonzero weight,
-O(N) memory and no FFT.  The asymptotic form is the same chirp sum (see
-asymptotic_form), but it is not the oracle, so it takes the sum as one
-zero-padded 2N-point FFT convolution (Bluestein's chirp-z identity) in
-O(N log N).  The short-time translation, also one FFT pair,
-and the large-time asymptotic form come with the rigorous sup-norm bounds
+exp[i m (x_j - x_k)^2 / 2 hbar t] is exp[i a (j - k)^2 / 2] with the one
+chirp rate a = m step^2 / hbar t, the only way m, hbar, t and the step enter
+either chirp sum, so the quadrature is a direct Toeplitz sum over one chirp
+row: 2N-1 kernel exps, N x S complex multiply-adds over the S points from
+the first to the last nonzero weight, O(N) memory and no FFT.  The
+asymptotic form is the same chirp sum with the same a (see asymptotic_form),
+but it is not the oracle, so it takes the sum as one zero-padded 2N-point
+FFT convolution (Bluestein's chirp-z identity) in O(N log N).  The
+short-time translation, also one FFT pair, and the large-time asymptotic
+form come with the rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
     sup_x |delta psi|^2 <= sqrt(m^3 / (pi hbar^3 t^3)) Dx^2    (large time)
@@ -39,7 +41,6 @@ from .numerics import (
     ComplexField,
     Grid,
     PhysicsParams,
-    Representation,
     _cis,
     _require_position,
     _spectral_apply,
@@ -88,28 +89,32 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
-def _free_kernel_sum(
-    values: np.ndarray, grid: Grid, t: float, params: PhysicsParams, convolve: Callable
-) -> np.ndarray:
+def _chirp_rate(grid: Grid, t: float, params: PhysicsParams) -> float:
+    """a = m step^2 / hbar t, the free kernel's phase rate in grid steps."""
+    return (params.mass * grid.step / params.hbar) * (grid.step / t)
+
+
+def _free_kernel_sum(values: np.ndarray, a: float, convolve: Callable) -> np.ndarray:
     """Trapezoidal sum_k K(x_j - x_k, t) values_k step with the free kernel K.
 
-    K(x_j - x_k) = sqrt(m / 2 pi i hbar t) c_{j-k} with the chirp
-    c_d = exp(i a d^2 / 2), a = m step^2 / hbar t, so the sum is a Toeplitz
-    convolution of the N weights against the 2N-1 chirp values;
-    convolve(weighted, chirp) returns its N valid terms, either directly
-    (_direct_convolution, the oracle's) or by FFT (_fft_convolution).
+    K(x_j - x_k) step = sqrt(a / 2 pi i) c_{j-k} with the chirp
+    c_d = exp(i a d^2 / 2) and a the chirp rate of _chirp_rate, so the sum is
+    a Toeplitz convolution of the N trapezoid-weighted values against the
+    2N-1 chirp values; convolve(weighted, chirp) returns its N valid terms,
+    either directly (_direct_convolution, the oracle's) or by FFT
+    (_fft_convolution).
     """
-    m, hbar = params.mass, params.hbar
-    n = grid.n
-    weighted = grid.step * values
+    n = values.size
+    weighted = values.copy()
     weighted[[0, -1]] *= 0.5
-    # Subnormal samples (the far tails of closed-form packets) make every
-    # multiply-add they enter several times slower; below the smallest normal
-    # double they cannot change a sum of normal terms, so drop them.
-    weighted[np.abs(weighted) < np.finfo(float).tiny] = 0
-    a = m * grid.step**2 / (hbar * t)
+    # Samples below 2^-970 = tiny / eps (the far tails of closed-form packets)
+    # have products with the chirp in or near the subnormal range, which make
+    # every multiply-add they enter several times slower.  Together they move
+    # each convolution term by less than n 2^-970, below its last bit
+    # wherever it exceeds n 2^-917, so drop them.
+    weighted[np.abs(weighted) < np.finfo(float).tiny / np.finfo(float).eps] = 0
     chirp = _cis(0.5 * a * np.arange(1 - n, n) ** 2)  # lags d = 1-n ... n-1
-    return np.sqrt(m / (2j * np.pi * hbar * t)) * convolve(weighted, chirp)
+    return np.sqrt(a / (2j * np.pi)) * convolve(weighted, chirp)
 
 
 def _direct_convolution(weighted: np.ndarray, chirp: np.ndarray) -> np.ndarray:
@@ -152,7 +157,7 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     _require_position(psi0, "propagate_quadrature")
     if t == 0:
         raise ValueError("propagate_quadrature: kernel is singular at t = 0 (identity)")
-    values = _free_kernel_sum(psi0.values, psi0.grid, t, params, _direct_convolution)
+    values = _free_kernel_sum(psi0.values, _chirp_rate(psi0.grid, t, params), _direct_convolution)
     out = ComplexField(values, psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
 
@@ -180,7 +185,7 @@ def short_time_approx(
     shift = pbar * t / params.mass
     dk = psi0.grid.momentum_step(1.0)
     psi = _spectral_apply(psi0, lambda k: _cis(-(dk * shift) * k))
-    values = _cis(0.5 * pbar * shift / params.hbar) * psi  # pbar^2 t / 2 m hbar
+    values = _cis(0.5 * (pbar / params.hbar) * shift) * psi  # pbar^2 t / 2 m hbar
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 
@@ -232,20 +237,19 @@ def asymptotic_form(
     times the phase above is the free propagator applied to
     psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is the same Toeplitz
     chirp sum as propagate_quadrature, taken here as one 2N-point FFT
-    convolution in O(N log N).  The resulting density
+    convolution in O(N log N); the pre-chirp is exp[-i a d^2 / 2] with the
+    same chirp rate a and d = (x' - xbar) / step.  from_momentum checks that
+    phi0 is a momentum field on params.hbar's lattice.  The resulting density
     is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for |t| >> 2 m Dx^2 / hbar;
     t = 0 is rejected.
     """
-    if phi0.representation is not Representation.MOMENTUM:
-        raise ValueError("asymptotic_form expects a momentum-representation field")
     if t == 0:
         raise ValueError("asymptotic_form requires t != 0")
-    if phi0.hbar != params.hbar:
-        raise ValueError("phi0 momentum lattice hbar does not match params.hbar")
     grid = phi0.grid
+    a = _chirp_rate(grid, t, params)
     chirped = from_momentum(phi0, params).values
-    chirped *= _cis(-params.mass * (grid.points - xbar) ** 2 * (1 / (2 * params.hbar * t)))
-    values = _free_kernel_sum(chirped, grid, t, params, _fft_convolution)
+    chirped *= _cis(-0.5 * a * ((grid.points - xbar) / grid.step) ** 2)
+    values = _free_kernel_sum(chirped, a, _fft_convolution)
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 
 

@@ -8,7 +8,10 @@ approximates the *continuous* hbar-scaled transform
 
     phi(p) = (2 pi hbar)^(-1/2) integral exp(-i p x / hbar) psi(x) dx
 
-rather than the bare DFT.  The corrections cancel around any operator that
+rather than the bare DFT.  The phase correction exp(-i p_k x0 / hbar) is
+taken in grid steps, as 2 pi (k - n/2) (x0 / step) / n, so it holds no hbar,
+and the amplitude is step / sqrt(2 pi) / sqrt(hbar), so no transform forms
+2 pi hbar or a momentum.  The corrections cancel around any operator that
 is diagonal in momentum (free evolution, translation, derivatives), so those,
 like the momentum moments, run on the bare FFT over the integer lattice k in
 FFT order, with p = dp k and dp applied once.  Every transform is scipy.fft's
@@ -102,7 +105,7 @@ class Grid:
         return self.x0 + self.step * np.arange(self.n)
 
     def momentum_step(self, hbar: float) -> float:
-        return 2.0 * np.pi * hbar / (self.n * self.step)
+        return 2.0 * np.pi / (self.n * self.step) * hbar
 
     def momentum_points(self, hbar: float) -> np.ndarray:
         return self.momentum_step(hbar) * (np.arange(self.n) - self.n // 2)
@@ -217,6 +220,12 @@ def fresnel(u):
     return c, s
 
 
+def _origin_phase(g: Grid) -> np.ndarray:
+    """p_k x0 / hbar on the centred lattice, as 2 pi (k - n/2) (x0 / step) / n:
+    no hbar and no momentum."""
+    return 2 * np.pi * (g.x0 / g.step) / g.n * np.arange(-(g.n // 2), g.n // 2)
+
+
 def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     """Continuous-convention forward transform onto the momentum lattice.
 
@@ -225,11 +234,9 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     phase correction exp(-i p_k x0 / hbar) and amplitude step/sqrt(2 pi hbar).
     """
     _require_position(f, "to_momentum")
-    g = f.grid
-    hbar = params.hbar
-    p = g.momentum_points(hbar)
+    g, hbar = f.grid, params.hbar
     spectrum = np.fft.fftshift(scipy.fft.fft(f.values))
-    phi = g.step / math.sqrt(2 * np.pi * hbar) * _cis(-p * g.x0 * (1 / hbar)) * spectrum
+    phi = g.step / math.sqrt(2 * np.pi) / math.sqrt(hbar) * _cis(-_origin_phase(g)) * spectrum
     return ComplexField(phi, g, Representation.MOMENTUM, hbar=hbar)
 
 
@@ -242,10 +249,8 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
             f"field momentum lattice was built with hbar={f.hbar}, got params.hbar={params.hbar}"
         )
     g = f.grid
-    hbar = params.hbar
-    p = g.momentum_points(hbar)
-    psi = scipy.fft.ifft(np.fft.ifftshift(_cis(p * g.x0 * (1 / hbar)) * f.values))
-    psi = math.sqrt(2 * np.pi * hbar) / g.step * psi
+    psi = scipy.fft.ifft(np.fft.ifftshift(_cis(_origin_phase(g)) * f.values))
+    psi = math.sqrt(2 * np.pi) * math.sqrt(params.hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
 
 
@@ -255,7 +260,7 @@ def _spectral_apply(f: ComplexField, operator) -> np.ndarray:
     One FFT pair on the integer lattice k in FFT order (0, 1, ..., -1), with
     p = dp k: each caller folds dp and its constants into one scalar, so no
     momentum is formed or squared (tested for m from 1e-300 to 1e308 and
-    hbar from 1e-300 to 1e300).  The reordering, the phase exp(-i p x0 / hbar)
+    hbar from 1e-300 to 1e308).  The reordering, the phase exp(-i p x0 / hbar)
     and the amplitude that to_momentum applies and from_momentum removes
     commute with any momentum-diagonal multiplier, so they cancel for every x0.
     """

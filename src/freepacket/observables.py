@@ -32,9 +32,12 @@ never as a silently band-limit-dependent number.
 
 moments works in real arithmetic on the real and imaginary parts: both
 densities are re^2 + im^2, and the <R> integrand is
-(x - <x>)(Re psi Re Q psi + Im psi Im Q psi) with Q = P - <p>.  For a packet
-with finite moments the one spectrum, scaled by k - <k> and
-inverse-transformed in place, is the only field-sized complex array it forms.
+(x - <x>)(Re psi Re Q psi + Im psi Im Q psi) with Q = P - <p>.  Positions
+enter in grid steps, as d = (x - <x>) / step formed once in place of the
+positions array: Dx = step sqrt(Var d) and
+<R> = dp step int d Re[psi* Q psi / dp] dx.  For a packet with finite
+moments the one spectrum, scaled by k - <k> and inverse-transformed in
+place, is the only field-sized complex array it forms.
 """
 
 from __future__ import annotations
@@ -121,13 +124,17 @@ def _at_real_instant(values: np.ndarray, density: np.ndarray) -> bool:
 def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     """Position and momentum moments of a normalized position-space field.
 
-    Position moments use trapezoidal quadrature.  Every momentum quantity
-    comes from one bare FFT of psi, as sums over the integer lattice k in FFT
-    order (p = dp k) with the hbar-free weights step |FFT_k|^2 / n, and dp is
-    applied once at the end, so nothing squares a momentum (tested for m from
-    1e-300 to 1e308 and hbar from 1e-300 to 1e300).  <R> is the inner product
+    Position moments use trapezoidal quadrature over the positions in grid
+    steps d = (x - <x>) / step, and the step is applied once at the end.
+    Every momentum quantity comes from one bare FFT of psi, as sums over the
+    integer lattice k in FFT order (p = dp k) with the hbar-free weights
+    step |FFT_k|^2 / n, and dp is applied once at the end, so nothing squares
+    a position or a momentum (tested for m from 1e-300 to 1e308 and hbar from
+    1e-300 to 1e308).  <R> is the inner product
     Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with (P - <p>) psi / dp
-    the inverse FFT of that same spectrum times k - <k>, taken in place.
+    the inverse FFT of that same spectrum times k - <k>, taken in place.  It
+    is an action, Dp^2 (t - t_min) / m, and raises ValueError where it leaves
+    the double range (at hbar near the largest double).
     """
     _require_position(f, "moments")
     grid = f.grid
@@ -137,9 +144,12 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     if abs(norm2 - 1.0) > _NORM_TOLERANCE:
         raise ValueError(f"field must be normalized to {_NORM_TOLERANCE}, got norm^2 = {norm2}")
 
-    x = grid.points
-    mean_x = _trapz(x * density_x, grid.step)
-    var_x = _trapz((x - mean_x) ** 2 * density_x, grid.step)
+    d = grid.points
+    mean_x = _trapz(d * density_x, grid.step)
+    # positions in grid steps from <x>, in place: nothing squares a position
+    d -= mean_x
+    d /= grid.step
+    var_d = _trapz(d * d * density_x, grid.step)
 
     spectrum = scipy.fft.fft(f.values)
     k, mean_k, var_k, p_diverges = _lattice_moments(spectrum, grid.step)
@@ -153,8 +163,10 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
         k_psi = scipy.fft.ifft(spectrum, overwrite_x=True)  # (P - <p>) psi / dp
         # Re[psi* (P - <p>) psi] / dp in real arithmetic
         overlap = re * k_psi.real + im * k_psi.imag
-        mean_r = dp * _trapz((x - mean_x) * overlap, grid.step)
-        delta_x = math.sqrt(var_x)
+        mean_r = dp * grid.step * _trapz(d * overlap, grid.step)
+        if not math.isfinite(mean_r):
+            raise ValueError(f"<R> = {mean_r} lies outside the double range")
+        delta_x = grid.step * math.sqrt(var_d)
 
     delta_p = math.inf if p_diverges else dp * math.sqrt(var_k)
     return PacketMoments(mean_x, dp * mean_k, delta_x, delta_p, mean_r)

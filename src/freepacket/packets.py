@@ -278,7 +278,7 @@ def galilean_boost(
     def boosted(x, t: float):
         x = np.asarray(x, dtype=float)
         dt = t - t0
-        phase = _cis(1 / params.hbar * (p * x - (p / params.mass) * (p * dt) / 2))
+        phase = _cis((p / params.hbar) * (x - (p / params.mass) * dt / 2))
         return phase * xi(x - p * dt / params.mass, t)
 
     return boosted

@@ -4,6 +4,17 @@ import pytest
 from freepacket import Grid, GaussianFamily, PhysicsParams, quadrature_norm2
 
 
+# The physics the scale-covariance tests run at: in the units gamma0 =
+# sqrt(hbar tau / m), hbar / gamma0 and tau every number must be that of
+# m = hbar = 1.  The momentum lattice reaches about 1e156 at m = 1e308 and the
+# positions about 1e155 at hbar = 1e308, so nothing on the way may square a
+# momentum, a mass or a position.
+SCALE_CASES = {
+    **{f"mass={m:g}": PhysicsParams(mass=m) for m in (1e-300, 1e-150, 1e150, 1e300, 1e308)},
+    **{f"hbar={h:g}": PhysicsParams(hbar=h) for h in (1e-300, 1e300, 1e308)},
+}
+
+
 @pytest.fixture(scope="session")
 def params():
     return PhysicsParams(hbar=1.0, mass=1.0)

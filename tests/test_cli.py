@@ -69,6 +69,27 @@ def test_square_times_scale_with_m_a_squared():
     assert cfg.times == tuple(v * unit for v in (0.1, 0.2, 0.5))
 
 
+def _ulps(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(value))
+
+
+def test_square_time_unit_does_not_square_a():
+    # a^2 = 1e-320 is subnormal, but m a^2 / hbar = 1
+    m, a, hbar = 1e300, 1e-160, 1e-20
+    cfg = parse_config(f"scenario = fig3\nphysics.mass = {m}\nfamily.a = {a}\nphysics.hbar = {hbar}")
+    unit = Fraction(m) * Fraction(a) ** 2 / Fraction(hbar)
+    for t, natural in zip(cfg.times[1:], (0.001, 0.01, 0.1)):
+        assert _ulps(t, Fraction(natural) * unit) <= 4, t
+
+
+def test_square_time_unit_past_m_a_squared_overflow():
+    # m a^2 = 1e310 overflows, but m a^2 / hbar = 1e300 is a double
+    cfg = parse_config("scenario = fig3\nphysics.mass = 1e308\nfamily.a = 10\nphysics.hbar = 1e10")
+    unit = Fraction(10) ** 300
+    for t, natural in zip(cfg.times[1:], (0.001, 0.01, 0.1)):
+        assert _ulps(t, Fraction(natural) * unit) <= 4, t
+
+
 def test_grid_n_must_be_power_of_two():
     with pytest.raises(ConfigError, match="power of two"):
         parse_config("grid.n = 1000")
@@ -191,6 +212,11 @@ def test_overrides_replace_file_values():
     assert cfg.scenario == "fig3"
     assert cfg.family == "square"
     assert cfg.out_dir == "d"
+
+
+def test_unknown_override_key_is_rejected():
+    with pytest.raises(ConfigError, match="override: unknown key 'bogus'"):
+        parse_config("scenario = fig1", overrides={"bogus": "3"})
 
 
 def test_strict_parsing():
@@ -498,6 +524,40 @@ def test_square_figures_run_for_a_heavy_packet(tmp_path, scenario):
         f"grid.half_width = 6.4e-153\noutput.dir = {tmp_path / 'out'}\n"
     )
     assert main(["--config", str(cfg_path), "--strict"]) == EXIT_OK
+
+
+# at hbar = 1e308 gamma0 = 1e154 and the grid positions reach 6.4e155, so no
+# position may be squared; <R> = Dp^2 t / m is an action, 5 hbar at t = 2 tau
+_HUGE_HBAR = "physics.hbar = 1e308\ngrid.half_width = 6.4e155"
+
+
+@pytest.mark.parametrize("scenario", ["bounds", "custom"])
+def test_scenarios_run_at_the_largest_hbar(tmp_path, scenario):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = {scenario}\n{_HUGE_HBAR}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path), "--strict"]) == EXIT_OK
+    rows = read_csv(tmp_path / "out" / f"{scenario}_summary.csv")
+    if scenario == "bounds":
+        assert np.all(column(rows, "short_sup_dpsi2") <= column(rows, "short_time_bound"))
+        assert np.all(column(rows, "asym_sup_dpsi2") <= column(rows, "asymptotic_bound"))
+
+
+def test_spread_law_at_the_largest_hbar_names_r_and_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = spread-law\n{_HUGE_HBAR}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg_path), "--strict"]) == EXIT_RUNTIME
+    assert "<R>" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_at_time_zero_has_no_asymptotic_sup(tmp_path):
+    # the asymptotic form needs t != 0: its sup is nan and its bound inf
+    cfg = parse_config(f"scenario = bounds\ngrid.n = 1024\ntimes = 0, 1\noutput.dir = {tmp_path}")
+    assert run_scenario(cfg) == EXIT_OK
+    (zero, one) = read_csv(tmp_path / "bounds_summary.csv")
+    assert float(zero["t"]) == 0.0 and math.isnan(float(zero["asym_sup_dpsi2"]))
+    assert float(zero["asymptotic_bound"]) == math.inf
+    assert math.isfinite(float(one["asym_sup_dpsi2"]))
 
 
 def test_gaussian_family_writes_the_bytes_of_hermite_gauss_order_zero(tmp_path):
@@ -916,13 +976,12 @@ def test_power_pairs_are_within_the_bound_of_the_product():
     text = freepacket._csvtext
     u = Fraction(1, 2**53)
     # the product's error bound at S < 2^57 lies below the margin
-    assert (7 + 10 * u) * u**2 * 2**57 < Fraction(2.0**-46)
+    assert (4 + 6 * u) * u**2 * 2**57 < Fraction(2.0**-46)
     tables = (text._SCALE, text._HI, text._LO, text._MARGIN)
     for row, x in enumerate(range(text._X_MIN, text._X_MAX + 1)):
         scale, hi, lo, margin = (Fraction(float(table[row])) for table in tables)
         assert scale in (1, Fraction(2) ** 192, Fraction(2) ** -192), x
         exact = Fraction(10) ** (16 - x) / scale
-        assert abs(exact - hi - lo) <= (4 + 2 * u) * u**2 * exact, x
         assert abs(lo) <= u * hi, x
         assert margin == (0 if lo == 0 else Fraction(2.0**-46)), x
         assert (lo == 0) == (hi == exact), x
@@ -931,6 +990,16 @@ def test_power_pairs_are_within_the_bound_of_the_product():
         smallest = max(Fraction(10) ** x, Fraction(2) ** -1074) * scale
         assert smallest >= Fraction(2) ** (-1022 + 53) and hi >= Fraction(2) ** (-1022 + 53), x
         assert max(Fraction(10) ** (x + 1) * scale, hi) * (2**27 + 1) < Fraction(2) ** 1024, x
+
+
+def test_power_pairs_lie_within_2_to_the_minus_106_of_the_power():
+    # hi and lo are each correctly rounded, so the pair misses 10^(16 - X)
+    # 2^-s by at most u^2 of it; the product bound above takes u^2 for the pair
+    text = freepacket._csvtext
+    for row, x in enumerate(range(text._X_MIN, text._X_MAX + 1)):
+        exact = Fraction(10) ** (16 - x) / Fraction(float(text._SCALE[row]))
+        pair = Fraction(float(text._HI[row])) + Fraction(float(text._LO[row]))
+        assert abs(exact - pair) <= Fraction(1, 2**106) * exact, x
 
 
 def test_ties_at_every_power_render_like_the_reference(tmp_path, per_value):

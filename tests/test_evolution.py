@@ -484,6 +484,23 @@ def test_asymptotic_rejects_t_zero(gauss_fam, grid, params):
         asymptotic_form(phi0, 0.0, 0.0, params)
 
 
+def test_asymptotic_rejects_a_position_field(gauss_fam, grid, params):
+    with pytest.raises(ValueError, match="momentum-representation"):
+        asymptotic_form(chi_field(gauss_fam, grid), 0.0, 5.0, params)
+
+
+def test_asymptotic_rejects_a_lattice_of_another_hbar(gauss_fam, grid, params):
+    phi0 = to_momentum(chi_field(gauss_fam, grid), PhysicsParams(hbar=2.0, mass=params.mass))
+    with pytest.raises(ValueError, match="hbar"):
+        asymptotic_form(phi0, 0.0, 5.0, params)
+
+
+def test_asymptotic_bound_rejects_a_negative_spread_and_is_zero_at_zero(params):
+    with pytest.raises(ValueError, match="delta_x"):
+        asymptotic_error_bound(-1.0, 1.0, params)
+    assert asymptotic_error_bound(0.0, 1.0, params) == 0.0
+
+
 def test_asymptotic_bound_values(params):
     assert asymptotic_error_bound(1.0, 4.0, params) == pytest.approx(
         asymptotic_error_bound(1.0, 1.0, params) / 8, rel=1e-14

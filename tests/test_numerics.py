@@ -461,3 +461,19 @@ def test_momentum_lattice_is_centered():
 def test_field_length_mismatch(grid):
     with pytest.raises(ValueError):
         ComplexField(np.zeros(7), grid)
+
+
+def test_momentum_field_needs_hbar(grid):
+    with pytest.raises(ValueError, match="need hbar"):
+        ComplexField(np.zeros(grid.n), grid, Representation.MOMENTUM)
+
+
+def test_position_field_lattice_is_the_grid_points(grid):
+    f = ComplexField(np.zeros(grid.n), grid)
+    assert f.lattice.tobytes() == grid.points.tobytes()
+
+
+@pytest.mark.parametrize("order", [-1, 1.5])
+def test_spectral_derivative_rejects_a_bad_order(grid, order):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        spectral_derivative(unit_gaussian(grid), order)

@@ -42,6 +42,8 @@ from freepacket import (
 )
 from freepacket.observables import _P_DIVERGENCE_TOL, _REAL_INSTANT_TOL
 
+from conftest import SCALE_CASES
+
 
 # ---------------------------------------------------------------- moments
 
@@ -285,6 +287,13 @@ def test_positive_correlation_means_expanding(params):
     assert law.t_min < 1.0
 
 
+def test_spread_law_rejects_a_correlation_beyond_the_spreads(params):
+    # |<R>| <= Dx Dp for every state (Robertson-Schrodinger)
+    m = PacketMoments(mean_x=0.0, mean_p=0.0, delta_x=1.0, delta_p=2.0, mean_r=2.5)
+    with pytest.raises(ValueError, match="inconsistent moments"):
+        spread_law_from_state(m, params, 0.0)
+
+
 def test_spread_law_rejects_divergent_moments(params):
     m = PacketMoments(mean_x=0.0, mean_p=0.0, delta_x=1.0, delta_p=math.inf, mean_r=0.0)
     with pytest.raises(ValueError):
@@ -395,22 +404,26 @@ def test_tx_conventions_differ_away_from_waist(gauss_fam, wide_grid, params):
 #
 # In the units gamma0 = sqrt(hbar tau / m) of length, hbar / gamma0 of
 # momentum and tau of time, every measured and predicted number is the same
-# for all m and hbar.  The momentum lattice reaches about 1e156 at m = 1e308,
-# so any squared momentum or mass on the path would overflow there.
+# for all m and hbar (SCALE_CASES).  The spread-law run measures <R> at
+# t = 2 tau, where it is 5 hbar: an action, which leaves the double range at
+# hbar = 1e308, so that run stops at hbar = 1e300.
+SPREAD_LAW_CASES = {name: p for name, p in SCALE_CASES.items() if p.hbar <= 1e300}
 
-SCALE_CASES = {
-    **{f"mass={m:g}": PhysicsParams(mass=m) for m in (1e-300, 1e-150, 1e150, 1e300, 1e308)},
-    **{f"hbar={h:g}": PhysicsParams(hbar=h) for h in (1e-300, 1e300)},
-}
+
+def _scaled_packet(params):
+    """gamma0 and the n = 2 derivative packet at t = 0 (tau = 1) on 4096
+    points across 64 gamma0 either side."""
+    gamma0 = math.sqrt(params.hbar) / math.sqrt(params.mass)
+    fam = GaussianFamily(params=params, tau=1.0)
+    g = Grid.centered(64 * gamma0, 4096)
+    return gamma0, sample(lambda x, t: derivative_packet(fam, 2, x, t), g, 0.0)
 
 
 def _scale_free_run(params):
     """The n = 2 derivative packet's numbers in gamma0, hbar / gamma0 and tau."""
-    gamma0 = math.sqrt(params.hbar) / math.sqrt(params.mass)  # tau = 1
+    gamma0, psi0 = _scaled_packet(params)
+    g = psi0.grid
     unit_p = params.hbar / gamma0
-    fam = GaussianFamily(params=params, tau=1.0)
-    g = Grid.centered(64 * gamma0, 4096)
-    psi0 = sample(lambda x, t: derivative_packet(fam, 2, x, t), g, 0.0)
     m0 = moments(psi0, params)
     law = spread_law_from_state(m0, params, 0.0)
     ts = timescales(m0, params)
@@ -440,7 +453,7 @@ def _scale_free_run(params):
     return out, gaps
 
 
-@pytest.mark.parametrize("params", SCALE_CASES.values(), ids=SCALE_CASES.keys())
+@pytest.mark.parametrize("params", SPREAD_LAW_CASES.values(), ids=SPREAD_LAW_CASES.keys())
 def test_spread_law_path_is_scale_covariant(params):
     expected, _ = _scale_free_run(PhysicsParams())
     with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
@@ -453,10 +466,24 @@ def test_spread_law_path_is_scale_covariant(params):
         assert got[name] == pytest.approx(value, rel=rel, abs=0), name
 
 
-# The closed forms take m and hbar only through gamma0, so they hold up to
-# hbar = 1e308 (gamma0 = 1e154), where the spectral lattice and moments
-# square positions near 1e155 and stop.
-CLOSED_FORM_SCALE_CASES = {**SCALE_CASES, "hbar=1e+308": PhysicsParams(hbar=1e308)}
+def _moments_in_units(params, t):
+    """Dx, Dp and <R> of the evolved packet in gamma0, hbar / gamma0 and hbar."""
+    gamma0, psi0 = _scaled_packet(params)
+    m = moments(propagate_spectral(psi0, t, params).field, params)
+    return [m.delta_x / gamma0, m.delta_p / (params.hbar / gamma0), m.mean_r / params.hbar]
+
+
+def test_moments_at_the_largest_hbar():
+    params = PhysicsParams(hbar=1e308)
+    expected = _moments_in_units(PhysicsParams(), 0.5)
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got = _moments_in_units(params, 0.5)
+        # <R> = 5 hbar at t = 2 tau lies past the largest double
+        with pytest.raises(ValueError, match="<R>"):
+            _moments_in_units(params, 2.0)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 TAU = 0.7
 U = np.linspace(-12.0, 12.0, 97)
 
@@ -484,7 +511,7 @@ def _scale_free_form(form, params):
 
 
 @pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
-@pytest.mark.parametrize("params", CLOSED_FORM_SCALE_CASES.values(), ids=CLOSED_FORM_SCALE_CASES.keys())
+@pytest.mark.parametrize("params", SCALE_CASES.values(), ids=SCALE_CASES.keys())
 def test_closed_forms_are_scale_covariant(params, form):
     expected = _scale_free_form(form, PhysicsParams())
     with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):

@@ -30,6 +30,8 @@ from freepacket import (
     to_momentum,
 )
 
+from conftest import SCALE_CASES
+
 
 def cosine_similarity(a, b, step):
     inner = np.abs(np.trapezoid(np.conj(a) * b, dx=step))
@@ -430,16 +432,19 @@ def _boosted_chi_in_units(params, t):
     """A chi boosted by 1.5 hbar / gamma0 from t0 = 0.3 tau, in gamma0 and tau."""
     gamma0 = math.sqrt(params.hbar) / math.sqrt(params.mass)  # tau = 1
     fam = GaussianFamily(params=params, tau=1.0)
-    boosted = galilean_boost(lambda x, tt: gaussian_chi(fam, x, tt), 1.5 / gamma0, 0.3, params)
+    p = 1.5 * params.hbar / gamma0
+    boosted = galilean_boost(lambda x, tt: gaussian_chi(fam, x, tt), p, 0.3, params)
     return boosted(gamma0 * np.linspace(-8, 8, 33), t) * math.sqrt(gamma0)
 
 
-@pytest.mark.parametrize("mass", [1e-300, 1e308])
+@pytest.mark.parametrize("params", SCALE_CASES.values(), ids=SCALE_CASES.keys())
 @pytest.mark.parametrize("t", [0.3, 1.3])
-def test_boost_is_scale_covariant(mass, t):
-    # at m = 1e308 the boost momentum 1.5e154 squared would overflow
+def test_boost_is_scale_covariant(params, t):
+    # at m = 1e308 the boost momentum 1.5e154 squared would overflow, and at
+    # hbar = 1e308 its product with a position near 1e155
     expected = _boosted_chi_in_units(PhysicsParams(), t)
-    got = _boosted_chi_in_units(PhysicsParams(mass=mass), t)
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got = _boosted_chi_in_units(params, t)
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-12
 
 
