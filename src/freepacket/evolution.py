@@ -7,8 +7,9 @@ deliberately independent O(N^2) oracle.  On the uniform grid the free kernel
 exp[i m (x_j - x_k)^2 / 2 hbar t] is exp[i a (j - k)^2 / 2] with the one
 chirp rate a = m step^2 / hbar t, the only way m, hbar, t and the step enter
 either chirp sum, so the quadrature is a direct Toeplitz sum over one chirp
-row: 2N-1 kernel exps, N x S complex multiply-adds over the S points from
-the first to the last nonzero weight, O(N) memory and no FFT.  The
+row: N kernel exps, N x S complex multiply-adds over the S points from the
+first to the last weight that can move the sum by 2^-53 of the input's L2
+norm (see _free_kernel_sum), O(N) memory and no FFT.  The
 asymptotic form is the same chirp sum with the same a (see asymptotic_form),
 but it is not the oracle, so it takes the sum as one zero-padded 2N-point
 FFT convolution (Bluestein's chirp-z identity) in O(N log N).  The
@@ -85,8 +86,16 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
         return PropagationResult(out, 0.0, Method.SPECTRAL_EXACT)
     dp = psi0.grid.momentum_step(params.hbar)
     theta = -0.5 * (dp / params.mass) * (dp * t / params.hbar)  # theta k^2 = -p^2 t / 2 m hbar
+    k2 = (psi0.grid.n // 2) ** 2  # the largest k^2
+    _require_finite_phase(theta * k2, "propagate_spectral", "p^2 t / 2 m hbar", t)
     values = _spectral_apply(psi0, lambda k: _cis(theta * (k * k)))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
+
+
+def _require_finite_phase(phase: float, caller: str, formula: str, t: float) -> None:
+    """Raise ValueError when a call's largest phase is not a finite double."""
+    if not math.isfinite(phase):
+        raise ValueError(f"{caller}: the phase {formula} overflows at t = {t!r}")
 
 
 def _chirp_rate(grid: Grid, t: float, params: PhysicsParams) -> float:
@@ -107,13 +116,28 @@ def _free_kernel_sum(values: np.ndarray, a: float, convolve: Callable) -> np.nda
     n = values.size
     weighted = values.copy()
     weighted[[0, -1]] *= 0.5
-    # Samples below 2^-970 = tiny / eps (the far tails of closed-form packets)
-    # have products with the chirp in or near the subnormal range, which make
-    # every multiply-add they enter several times slower.  Together they move
-    # each convolution term by less than n 2^-970, below its last bit
-    # wherever it exceeds n 2^-917, so drop them.
-    weighted[np.abs(weighted) < np.finfo(float).tiny / np.finfo(float).eps] = 0
-    chirp = _cis(0.5 * a * np.arange(1 - n, n) ** 2)  # lags d = 1-n ... n-1
+    # Every kernel term has modulus r = sqrt(|a| / 2 pi), so dropping the
+    # samples below a cut c moves each output term by at most n c r, and the
+    # output by at most n^(3/2) c r in the discrete L2 norm.  With
+    # c = 2^-53 |weighted|_2 / (n^(3/2) r) that is 2^-53 of the input's norm,
+    # under its last bit, while the direct sum shrinks to the span of the
+    # samples left (at N = 2048 the oracle's packets keep about 300 of 2048).
+    # At huge |t|, a underflows to 0 and so does the result, so every sample
+    # goes.  Samples below 2^-970 = tiny / eps also go whatever c is: their
+    # products with the chirp lie in or near the subnormal range, which makes
+    # every multiply-add they enter several times slower.
+    magnitude = np.abs(weighted)
+    scale = float(magnitude.max())
+    r = math.sqrt(abs(a) / (2 * math.pi))
+    cut = math.inf
+    if scale > 0 and r > 0:
+        norm = scale * float(np.linalg.norm(magnitude / scale))  # no square overflows
+        cut = max(np.finfo(float).tiny / np.finfo(float).eps, 2.0**-53 * norm / (n**1.5 * r))
+    weighted[magnitude < cut] = 0
+    del magnitude
+    half = _cis(0.5 * a * np.arange(n) ** 2)  # c_d for lags d = 0 ... n-1; c_-d = c_d
+    chirp = np.concatenate((half[:0:-1], half))  # lags d = 1-n ... n-1
+    del half
     return np.sqrt(a / (2j * np.pi)) * convolve(weighted, chirp)
 
 
@@ -148,8 +172,11 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     """Direct trapezoidal evaluation of the propagator integral.
 
     psi(x,t) = int K(x,x',t) psi(x',0) dx' with the free kernel
-    K = sqrt(m / 2 pi i hbar t) exp[i m (x-x')^2 / 2 hbar t].  O(N^2); the
-    independent oracle for propagate_spectral.  Accuracy on oscillatory
+    K = sqrt(m / 2 pi i hbar t) exp[i m (x-x')^2 / 2 hbar t].  The
+    independent oracle for propagate_spectral: a direct sum with no FFT and
+    O(N) memory over the S samples that can move the result by 2^-53 of the
+    input's L2 norm, N x S <= N^2 complex multiply-adds.  Raises ValueError
+    where the kernel phase overflows (t near 0).  Accuracy on oscillatory
     integrands is controlled by grid sizing: keep
     step <= hbar / (4 * p_max_relevant) with p_max_relevant the largest of
     the packet's momentum content and m |x - x'|_max / t.
@@ -157,7 +184,10 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     _require_position(psi0, "propagate_quadrature")
     if t == 0:
         raise ValueError("propagate_quadrature: kernel is singular at t = 0 (identity)")
-    values = _free_kernel_sum(psi0.values, _chirp_rate(psi0.grid, t, params), _direct_convolution)
+    a = _chirp_rate(psi0.grid, t, params)
+    d2 = (psi0.grid.n - 1) ** 2  # the largest (j - k)^2
+    _require_finite_phase(0.5 * a * d2, "propagate_quadrature", "m (x - x')^2 / 2 hbar t", t)
+    values = _free_kernel_sum(psi0.values, a, _direct_convolution)
     out = ComplexField(values, psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
 
@@ -247,6 +277,10 @@ def asymptotic_form(
         raise ValueError("asymptotic_form requires t != 0")
     grid = phi0.grid
     a = _chirp_rate(grid, t, params)
+    # the pre-chirp's d runs from d0 to d0 + n-1, the kernel's lags to n-1
+    d0 = (float(grid.x0) - float(xbar)) / grid.step
+    d = max(abs(d0), abs(d0 + grid.n - 1), grid.n - 1)
+    _require_finite_phase(0.5 * a * d * d, "asymptotic_form", "m (x - xbar)^2 / 2 hbar t", t)
     chirped = from_momentum(phi0, params).values
     chirped *= _cis(-0.5 * a * ((grid.points - xbar) / grid.step) ** 2)
     values = _free_kernel_sum(chirped, a, _fft_convolution)

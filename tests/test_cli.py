@@ -684,6 +684,23 @@ def test_main_floating_point_error_exits_two(tmp_path, capsys):
     assert warning.startswith("warning: grid step") and error.startswith("runtime error:")
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        # theta k^2 of the spectral propagator
+        ("1e308", "propagate_spectral: the phase p^2 t / 2 m hbar overflows at t = 1e+308"),
+        # the asymptotic form's pre-chirp a d^2 / 2
+        ("1e-306", "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t overflows at t = 1e-306"),
+    ],
+)
+def test_main_overflowing_phase_names_it_and_writes_nothing(tmp_path, capsys, times, message):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = bounds\ntimes = {times}\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
     # 2 * 1e308 / n overflows to an infinite grid step, which Grid rejects
     # before any slice is written

@@ -452,6 +452,84 @@ def test_quadrature_over_a_partial_support_matches_brute_force_sum(support):
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+# The benchmark oracle's grid, 2048 points across 64 gamma0 either side; on
+# it the Gaussian's samples beyond about 9 gamma0 cannot move the quadrature.
+ORACLE_FAM = GaussianFamily(params=KERNEL_PARAMS, tau=1.0)
+ORACLE_GRID = Grid.centered(64 * ORACLE_FAM.gamma(0.0), 2048)
+
+
+def oracle_gaussian():
+    return sample(lambda x, t: gaussian_chi(ORACLE_FAM, x, t), ORACLE_GRID, 0.0)
+
+
+def test_quadrature_sums_only_the_samples_that_can_move_it(monkeypatch):
+    spans = []
+    convolve = np.convolve
+
+    def spy(weighted, chirp, mode="full"):
+        spans.append(weighted.size)
+        return convolve(weighted, chirp, mode)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    propagate_quadrature(oracle_gaussian(), 2.5 * ORACLE_FAM.tau, KERNEL_PARAMS)
+    assert len(spans) == 1 and spans[0] <= 320
+
+
+# at t = 0.5 tau the chirp's phase a d^2 / 2 runs up to about 1.6e4
+@pytest.mark.parametrize("t", [2.5, -2.5, 0.5])
+def test_quadrature_is_the_full_span_sum_to_the_inputs_norm(t):
+    # dropping samples moves the sum by at most 2^-53 of the input's norm;
+    # the rest of the tolerance is the sum's own rounding.  The chirp rate is
+    # the library's own, since one ulp of a moves the phases a d^2 / 2 by
+    # about 1e-12 at these lags.
+    psi0, n = oracle_gaussian(), ORACLE_GRID.n
+    a = freepacket.evolution._chirp_rate(ORACLE_GRID, t * ORACLE_FAM.tau, KERNEL_PARAMS)
+    weighted = psi0.values.copy()
+    weighted[[0, -1]] *= 0.5
+    chirp = np.exp(0.5j * a * np.arange(1 - n, n) ** 2)
+    expected = np.sqrt(a / (2j * np.pi)) * np.convolve(weighted, chirp, "valid")
+    out = propagate_quadrature(psi0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field.values
+    assert np.linalg.norm(out - expected) <= 2.0**-51 * np.linalg.norm(psi0.values)
+
+
+def test_kernel_sums_vanish_where_the_chirp_rate_underflows():
+    # a = m step^2 / hbar t is 0 here, and so is the kernel's prefactor
+    params, t = PhysicsParams(hbar=1.0, mass=1e-300), 1e300
+    psi0 = kernel_packet()
+    assert freepacket.evolution._chirp_rate(KERNEL_GRID, t, params) == 0
+    with np.errstate(all="raise"):
+        by_kernel = propagate_quadrature(psi0, t, params).field.values
+        asym = asymptotic_form(to_momentum(psi0, params), 0.4, t, params).field.values
+    assert not by_kernel.any() and not asym.any()
+
+
+OVERFLOWING_PHASES = {
+    "spectral": (
+        lambda f, t: propagate_spectral(f, t, KERNEL_PARAMS),
+        1e308,
+        "propagate_spectral: the phase p^2 t / 2 m hbar overflows at t = 1e+308",
+    ),
+    "quadrature": (
+        lambda f, t: propagate_quadrature(f, t, KERNEL_PARAMS),
+        1e-307,
+        "propagate_quadrature: the phase m (x - x')^2 / 2 hbar t overflows at t = 1e-307",
+    ),
+    "asymptotic": (
+        lambda f, t: asymptotic_form(to_momentum(f, KERNEL_PARAMS), 0.4, t, KERNEL_PARAMS),
+        1e-307,
+        "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t overflows at t = 1e-307",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, t, message", OVERFLOWING_PHASES.values(), ids=OVERFLOWING_PHASES.keys())
+def test_an_overflowing_phase_names_itself_and_t(call, t, message):
+    f = kernel_packet()
+    with np.errstate(all="raise"), pytest.raises(ValueError) as raised:
+        call(f, t)
+    assert str(raised.value) == message
+
+
 def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
     m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar
     phi0 = to_momentum(psi0, KERNEL_PARAMS)
@@ -466,11 +544,8 @@ def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
 
 @pytest.mark.parametrize("t", [3.0, -5.0])
 def test_asymptotic_matches_direct_chirp_sum_on_the_oracle_grid(t):
-    # the benchmark oracle's grid: 2048 points across 64 gamma0 either side
-    fam = GaussianFamily(params=KERNEL_PARAMS, tau=1.0)
-    g = Grid.centered(64 * fam.gamma(0.0), 2048)
-    psi0 = sample(lambda x, tt: derivative_packet(fam, 3, x, tt), g, 0.0)
-    _assert_asymptotic_is_direct_chirp_sum(psi0, 0.3, t * fam.tau)
+    psi0 = sample(lambda x, tt: derivative_packet(ORACLE_FAM, 3, x, tt), ORACLE_GRID, 0.0)
+    _assert_asymptotic_is_direct_chirp_sum(psi0, 0.3, t * ORACLE_FAM.tau)
 
 
 @pytest.mark.parametrize("support", SUPPORTS.values(), ids=SUPPORTS.keys())
