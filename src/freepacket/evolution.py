@@ -43,6 +43,7 @@ from .numerics import (
     Grid,
     PhysicsParams,
     _cis,
+    _lattice_cis,
     _require_position,
     _spectral_apply,
     from_momentum,
@@ -88,7 +89,7 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     theta = -0.5 * (dp / params.mass) * (dp * t / params.hbar)  # theta k^2 = -p^2 t / 2 m hbar
     k2 = (psi0.grid.n // 2) ** 2  # the largest k^2
     _require_finite_phase(theta * k2, "propagate_spectral", "p^2 t / 2 m hbar", t)
-    values = _spectral_apply(psi0, lambda k: _cis(theta * (k * k)))
+    values = _spectral_apply(psi0, _lattice_cis(theta, psi0.grid.n, 2))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
@@ -119,20 +120,20 @@ def _free_kernel_sum(values: np.ndarray, a: float, convolve: Callable) -> np.nda
     # Every kernel term has modulus r = sqrt(|a| / 2 pi), so dropping the
     # samples below a cut c moves each output term by at most n c r, and the
     # output by at most n^(3/2) c r in the discrete L2 norm.  With
-    # c = 2^-53 |weighted|_2 / (n^(3/2) r) that is 2^-53 of the input's norm,
-    # under its last bit, while the direct sum shrinks to the span of the
-    # samples left (at N = 2048 the oracle's packets keep about 300 of 2048).
-    # At huge |t|, a underflows to 0 and so does the result, so every sample
-    # goes.  Samples below 2^-970 = tiny / eps also go whatever c is: their
-    # products with the chirp lie in or near the subnormal range, which makes
-    # every multiply-add they enter several times slower.
+    # c = 2^-53 max|weighted| / (n^(3/2) r) that is 2^-53 max|weighted|, at
+    # most 2^-53 of the input's L2 norm and under its last bit, while the
+    # direct sum shrinks to the span of the samples left (at N = 2048 the
+    # oracle's packets keep about 300 of 2048).  At huge |t|, a underflows to 0 and so does the result,
+    # so every sample goes.  Samples below 2^-970 = tiny / eps also go
+    # whatever c is: their products with the chirp lie in or near the
+    # subnormal range, which makes every multiply-add they enter several
+    # times slower.
     magnitude = np.abs(weighted)
-    scale = float(magnitude.max())
     r = math.sqrt(abs(a) / (2 * math.pi))
     cut = math.inf
-    if scale > 0 and r > 0:
-        norm = scale * float(np.linalg.norm(magnitude / scale))  # no square overflows
-        cut = max(np.finfo(float).tiny / np.finfo(float).eps, 2.0**-53 * norm / (n**1.5 * r))
+    if r > 0:
+        cut = 2.0**-53 * float(magnitude.max()) / (n**1.5 * r)
+        cut = max(np.finfo(float).tiny / np.finfo(float).eps, cut)
     weighted[magnitude < cut] = 0
     del magnitude
     half = _cis(0.5 * a * np.arange(n) ** 2)  # c_d for lags d = 0 ... n-1; c_-d = c_d
@@ -214,7 +215,7 @@ def short_time_approx(
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
     shift = pbar * t / params.mass
     dk = psi0.grid.momentum_step(1.0)
-    psi = _spectral_apply(psi0, lambda k: _cis(-(dk * shift) * k))
+    psi = _spectral_apply(psi0, _lattice_cis(-(dk * shift), psi0.grid.n, 1))
     values = _cis(0.5 * (pbar / params.hbar) * shift) * psi  # pbar^2 t / 2 m hbar
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
@@ -277,10 +278,12 @@ def asymptotic_form(
         raise ValueError("asymptotic_form requires t != 0")
     grid = phi0.grid
     a = _chirp_rate(grid, t, params)
-    # the pre-chirp's d runs from d0 to d0 + n-1, the kernel's lags to n-1
-    d0 = (float(grid.x0) - float(xbar)) / grid.step
-    d = max(abs(d0), abs(d0 + grid.n - 1), grid.n - 1)
-    _require_finite_phase(0.5 * a * d * d, "asymptotic_form", "m (x - xbar)^2 / 2 hbar t", t)
+    # the pre-chirp's largest phases are at the grid's ends, in its own
+    # arithmetic; the kernel's is at lag n-1
+    x0, step = float(grid.x0), grid.step
+    ends = ((x - float(xbar)) / step for x in (x0, x0 + step * (grid.n - 1)))
+    phase = max(0.5 * a * (grid.n - 1) ** 2, *(0.5 * a * (d * d) for d in ends))
+    _require_finite_phase(phase, "asymptotic_form", "m (x - xbar)^2 / 2 hbar t", t)
     chirped = from_momentum(phi0, params).values
     chirped *= _cis(-0.5 * a * ((grid.points - xbar) / grid.step) ** 2)
     values = _free_kernel_sum(chirped, a, _fft_convolution)

@@ -21,8 +21,9 @@ Every pure phase exp(i theta) in the package (the propagator and the
 translation, the transform's x0 correction, the quadrature chirp, the
 Hermite-Gauss and Galilean phases) is _cis(theta): np.cos and np.sin
 written into one complex array, with no complex exp and no i*theta
-temporary.  The spectral multiply works in place, on the spectrum it
-allocated itself.
+temporary; a phase on the integer lattice, odd or even in k, takes its cos
+and sin over k >= 0 only (_lattice_cis).  The spectral multiply works in
+place, on the spectrum it allocated itself.
 """
 
 from __future__ import annotations
@@ -220,10 +221,31 @@ def fresnel(u):
     return c, s
 
 
-def _origin_phase(g: Grid) -> np.ndarray:
-    """p_k x0 / hbar on the centred lattice, as 2 pi (k - n/2) (x0 / step) / n:
-    no hbar and no momentum."""
-    return 2 * np.pi * (g.x0 / g.step) / g.n * np.arange(-(g.n // 2), g.n // 2)
+def _lattice_cis(rate: float, n: int, power: int) -> np.ndarray:
+    """exp(i rate k^power), power 1 or 2, on the integer lattice k in FFT order
+    (0, 1, ..., n/2 - 1, -n/2, ..., -1).
+
+    The phase is odd or even in k, and cos is even and sin odd, so cos and
+    sin are taken for k = 0 ... n/2 only and the negative half is their
+    mirror, conjugated for an odd phase: bitwise what _cis gives over the
+    whole lattice, for half its cos and sin work.
+    """
+    half = _cis(rate * np.arange(n // 2 + 1) ** power)
+    negative = half[:0:-1]  # k = -n/2 ... -1
+    return np.concatenate((half[:-1], np.conj(negative) if power == 1 else negative))
+
+
+def _swap_halves(values: np.ndarray) -> np.ndarray:
+    """np.fft.fftshift, and ifftshift alike, of an even-length array, without
+    np.roll's overhead."""
+    h = values.size // 2
+    return np.concatenate((values[h:], values[:h]))
+
+
+def _origin_rate(g: Grid) -> float:
+    """c with p x0 / hbar = c k on the integer momentum lattice:
+    2 pi (x0 / step) / n, no hbar and no momentum."""
+    return 2 * np.pi * (g.x0 / g.step) / g.n
 
 
 def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
@@ -235,9 +257,10 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     """
     _require_position(f, "to_momentum")
     g, hbar = f.grid, params.hbar
-    spectrum = np.fft.fftshift(scipy.fft.fft(f.values))
-    phi = g.step / math.sqrt(2 * np.pi) / math.sqrt(hbar) * _cis(-_origin_phase(g)) * spectrum
-    return ComplexField(phi, g, Representation.MOMENTUM, hbar=hbar)
+    phi = _lattice_cis(-_origin_rate(g), g.n, 1)
+    np.multiply(g.step / math.sqrt(2 * np.pi) / math.sqrt(hbar), phi, out=phi)
+    np.multiply(phi, scipy.fft.fft(f.values), out=phi)
+    return ComplexField(_swap_halves(phi), g, Representation.MOMENTUM, hbar=hbar)
 
 
 def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
@@ -249,13 +272,15 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
             f"field momentum lattice was built with hbar={f.hbar}, got params.hbar={params.hbar}"
         )
     g = f.grid
-    psi = scipy.fft.ifft(np.fft.ifftshift(_cis(_origin_phase(g)) * f.values))
+    spectrum = _lattice_cis(_origin_rate(g), g.n, 1)
+    np.multiply(spectrum, _swap_halves(f.values), out=spectrum)
+    psi = scipy.fft.ifft(spectrum, overwrite_x=True)
     psi = math.sqrt(2 * np.pi) * math.sqrt(params.hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
 
 
-def _spectral_apply(f: ComplexField, operator) -> np.ndarray:
-    """Position values of operator(k) psi for an operator diagonal in momentum.
+def _spectral_apply(f: ComplexField, factor: np.ndarray) -> np.ndarray:
+    """Position values of factor_k psi_k for an operator diagonal in momentum.
 
     One FFT pair on the integer lattice k in FFT order (0, 1, ..., -1), with
     p = dp k: each caller folds dp and its constants into one scalar, so no
@@ -264,8 +289,6 @@ def _spectral_apply(f: ComplexField, operator) -> np.ndarray:
     and the amplitude that to_momentum applies and from_momentum removes
     commute with any momentum-diagonal multiplier, so they cancel for every x0.
     """
-    n = f.grid.n
-    factor = operator(np.fft.fftfreq(n, 1 / n))
     spectrum = scipy.fft.fft(f.values)
     return scipy.fft.ifft(np.multiply(factor, spectrum, out=spectrum), overwrite_x=True)
 
@@ -282,8 +305,9 @@ def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return ComplexField(f.values.copy(), f.grid)
-    dk = f.grid.momentum_step(1.0)
-    return ComplexField(_spectral_apply(f, lambda k: (1j * (dk * k)) ** order), f.grid)
+    dk, n = f.grid.momentum_step(1.0), f.grid.n
+    k = np.fft.fftfreq(n, 1 / n)
+    return ComplexField(_spectral_apply(f, (1j * (dk * k)) ** order), f.grid)
 
 
 def quadrature_norm2(f: ComplexField) -> float:

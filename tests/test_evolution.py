@@ -503,6 +503,20 @@ def test_kernel_sums_vanish_where_the_chirp_rate_underflows():
     assert not by_kernel.any() and not asym.any()
 
 
+
+def test_the_kernel_cut_keeps_every_sample_of_an_input_whose_norm_overflows():
+    # |weighted|_2 is about 4.5e308, past the largest double; the cut is
+    # taken from the largest sample alone
+    n, kept = 2048, []
+
+    def convolve(weighted, chirp):
+        kept.append(np.count_nonzero(weighted))
+        return np.zeros(n, dtype=complex)
+
+    with np.errstate(all="raise"):
+        freepacket.evolution._free_kernel_sum(np.full(n, 1e307, dtype=complex), 1.0, convolve)
+    assert kept == [n]
+
 OVERFLOWING_PHASES = {
     "spectral": (
         lambda f, t: propagate_spectral(f, t, KERNEL_PARAMS),
@@ -529,6 +543,17 @@ def test_an_overflowing_phase_names_itself_and_t(call, t, message):
         call(f, t)
     assert str(raised.value) == message
 
+
+
+def test_an_overflowing_pre_chirp_of_an_off_grid_mean_is_named():
+    # d = (x - xbar) / step reaches 2e157, so d^2 overflows while
+    # (a d / 2) d, with a = 4.6e-7, does not
+    f = kernel_packet()
+    with np.errstate(all="raise"), pytest.raises(ValueError) as raised:
+        asymptotic_form(to_momentum(f, KERNEL_PARAMS), 1e156, 1e4, KERNEL_PARAMS)
+    assert str(raised.value) == (
+        "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t overflows at t = 10000.0"
+    )
 
 def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
     m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from freepacket import (
     to_momentum,
 )
 
-from freepacket.numerics import HERMITE_MAX_ORDER, _cis
+from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _lattice_cis
 
 from conftest import rel_l2_values
 
@@ -112,6 +113,15 @@ def test_cis_equals_complex_exp_within_one_ulp(theta):
         assert np.shape(got) == np.shape(expected) and np.asarray(got).dtype == complex
         np.testing.assert_array_max_ulp(np.real(got), np.real(expected), maxulp=1)
         np.testing.assert_array_max_ulp(np.imag(got), np.imag(expected), maxulp=1)
+
+
+
+@pytest.mark.parametrize("n", [8, 2048, 65536])
+@pytest.mark.parametrize("rate", [0.0, 3e-9, 1.3e-3, -2.7, 1e5])
+def test_lattice_cis_is_cis_over_the_whole_lattice_bitwise(n, rate):
+    k = np.fft.fftfreq(n, 1 / n)
+    assert _lattice_cis(rate, n, 1).tobytes() == _cis(rate * k).tobytes()
+    assert _lattice_cis(rate, n, 2).tobytes() == _cis(rate * (k * k)).tobytes()
 
 
 # ---------------------------------------------------------------- fresnel
@@ -269,6 +279,23 @@ def test_round_trip(grid, params):
     back = from_momentum(to_momentum(f, params), params)
     assert rel_l2_values(back.values, f.values, grid.step) < 1e-12
 
+
+
+@pytest.mark.parametrize("x0", [-8.0, -7.96875, 0.0, 3.3])
+def test_transforms_are_their_whole_lattice_formulas_bitwise(x0):
+    # the origin phase over the centred lattice, with no mirroring and np.fft's shifts
+    g, params = Grid(x0=x0, step=0.0625, n=256), PhysicsParams(hbar=0.7, mass=1.3)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    phase = 2 * np.pi * (g.x0 / g.step) / g.n * np.arange(-(g.n // 2), g.n // 2)
+    amplitude = g.step / math.sqrt(2 * np.pi) / math.sqrt(params.hbar)
+    phi = amplitude * _cis(-phase) * np.fft.fftshift(scipy.fft.fft(v))
+    psi = math.sqrt(2 * np.pi) * math.sqrt(params.hbar) / g.step * scipy.fft.ifft(
+        np.fft.ifftshift(_cis(phase) * v)
+    )
+    assert to_momentum(ComplexField(v, g), params).values.tobytes() == phi.tobytes()
+    back = from_momentum(ComplexField(v, g, Representation.MOMENTUM, params.hbar), params)
+    assert back.values.tobytes() == psi.tobytes()
 
 def test_from_momentum_zero_field(grid, params):
     phi = ComplexField(np.zeros(grid.n, dtype=complex), grid, Representation.MOMENTUM, hbar=1.0)
