@@ -8,8 +8,8 @@ exp[i m (x_j - x_k)^2 / 2 hbar t] is exp[i a (j - k)^2 / 2] with the one
 chirp rate a = m step^2 / hbar t, the only way m, hbar, t and the step enter
 either chirp sum, so the quadrature is a direct Toeplitz sum over one chirp
 row: N kernel exps, N x S complex multiply-adds over the S points from the
-first to the last weight that can move the sum by 2^-53 of the input's L2
-norm (see _free_kernel_sum), O(N) memory and no FFT.  The
+first to the last weight above a cut that moves the sum by at most 2^-53 of
+the input's L2 norm (see _free_kernel_sum), O(N) memory and no FFT.  The
 asymptotic form is the same chirp sum with the same a (see asymptotic_form),
 but it is not the oracle, so it takes the sum as one zero-padded 2N-point
 FFT convolution (Bluestein's chirp-z identity) in O(N log N).  The
@@ -175,10 +175,10 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     psi(x,t) = int K(x,x',t) psi(x',0) dx' with the free kernel
     K = sqrt(m / 2 pi i hbar t) exp[i m (x-x')^2 / 2 hbar t].  The
     independent oracle for propagate_spectral: a direct sum with no FFT and
-    O(N) memory over the S samples that can move the result by 2^-53 of the
-    input's L2 norm, N x S <= N^2 complex multiply-adds.  Raises ValueError
-    where the kernel phase overflows (t near 0).  Accuracy on oscillatory
-    integrands is controlled by grid sizing: keep
+    O(N) memory over the S samples above a cut that moves the result by at
+    most 2^-53 of the input's L2 norm, N x S <= N^2 complex multiply-adds.
+    Raises ValueError where the kernel phase overflows (t near 0).  Accuracy
+    on oscillatory integrands is controlled by grid sizing: keep
     step <= hbar / (4 * p_max_relevant) with p_max_relevant the largest of
     the packet's momentum content and m |x - x'|_max / t.
     """
