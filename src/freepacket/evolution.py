@@ -6,13 +6,15 @@ lattice k = p / dp in FFT order); the direct quadrature propagator is its
 deliberately independent O(N^2) oracle.  On the uniform grid the free kernel
 exp[i m (x_j - x_k)^2 / 2 hbar t] is exp[i a (j - k)^2 / 2] with the one
 chirp rate a = m step^2 / hbar t, the only way m, hbar, t and the step enter
-either chirp sum, so the quadrature is a direct Toeplitz sum over one chirp
-row: N kernel exps, N x S complex multiply-adds over the S points from the
-first to the last weight above a cut that moves the sum by at most 2^-53 of
-the input's L2 norm (see _free_kernel_sum), O(N) memory and no FFT.  The
-asymptotic form is the same chirp sum with the same a (see asymptotic_form),
-but it is not the oracle, so it takes the sum as one zero-padded 2N-point
-FFT convolution (Bluestein's chirp-z identity) in O(N log N).  The
+either chirp sum.  Both sums take that chirp from numerics._lattice_cis on a
+2N-point lattice, which holds lag d at index d mod 2N for N + 1 cos and sin
+pairs.  The quadrature is a direct Toeplitz sum over it: N x S complex
+multiply-adds over the S points from the first to the last weight above a
+cut that moves the sum by at most 2^-53 of the input's L2 norm (see
+_direct_kernel_sum), O(N) memory and no FFT.  The asymptotic form is the
+same chirp sum with the same a (see asymptotic_form), but it is not the
+oracle, so it takes the sum as one circular 2N-point FFT convolution
+(Bluestein's chirp-z identity) in O(N log N).  The
 short-time translation, also one FFT pair, and the large-time asymptotic
 form come with the rigorous sup-norm bounds
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 import scipy.fft
@@ -104,15 +105,14 @@ def _chirp_rate(grid: Grid, t: float, params: PhysicsParams) -> float:
     return (params.mass * grid.step / params.hbar) * (grid.step / t)
 
 
-def _free_kernel_sum(values: np.ndarray, a: float, convolve: Callable) -> np.ndarray:
-    """Trapezoidal sum_k K(x_j - x_k, t) values_k step with the free kernel K.
+def _direct_kernel_sum(values: np.ndarray, a: float) -> np.ndarray:
+    """Trapezoidal sum_k K(x_j - x_k, t) values_k step with the free kernel K,
+    summed directly over the samples that can move it.
 
     K(x_j - x_k) step = sqrt(a / 2 pi i) c_{j-k} with the chirp
     c_d = exp(i a d^2 / 2) and a the chirp rate of _chirp_rate, so the sum is
     a Toeplitz convolution of the N trapezoid-weighted values against the
-    2N-1 chirp values; convolve(weighted, chirp) returns its N valid terms,
-    either directly (_direct_convolution, the oracle's) or by FFT
-    (_fft_convolution).
+    chirp over the lags 1-N ... N-1, taken here by np.convolve with no FFT.
     """
     n = values.size
     weighted = values.copy()
@@ -122,51 +122,24 @@ def _free_kernel_sum(values: np.ndarray, a: float, convolve: Callable) -> np.nda
     # output by at most n^(3/2) c r in the discrete L2 norm.  With
     # c = 2^-53 max|weighted| / (n^(3/2) r) that is 2^-53 max|weighted|, at
     # most 2^-53 of the input's L2 norm and under its last bit, while the
-    # direct sum shrinks to the span of the samples left (at N = 2048 the
-    # oracle's packets keep about 300 of 2048).  At huge |t|, a underflows to 0 and so does the result,
-    # so every sample goes.  Samples below 2^-970 = tiny / eps also go
-    # whatever c is: their products with the chirp lie in or near the
-    # subnormal range, which makes every multiply-add they enter several
-    # times slower.
+    # sum shrinks to the span [lo, hi] of the samples left (at N = 2048 the
+    # oracle's packets keep about 300 of 2048).  At huge |t|, a underflows
+    # to 0 and so does the result, so every sample goes.
     magnitude = np.abs(weighted)
     r = math.sqrt(abs(a) / (2 * math.pi))
-    cut = math.inf
-    if r > 0:
-        cut = 2.0**-53 * float(magnitude.max()) / (n**1.5 * r)
-        cut = max(np.finfo(float).tiny / np.finfo(float).eps, cut)
+    cut = 2.0**-53 * float(magnitude.max()) / (n**1.5 * r) if r > 0 else math.inf
     weighted[magnitude < cut] = 0
     del magnitude
-    half = _cis(0.5 * a * np.arange(n) ** 2)  # c_d for lags d = 0 ... n-1; c_-d = c_d
-    chirp = np.concatenate((half[:0:-1], half))  # lags d = 1-n ... n-1
-    del half
-    return np.sqrt(a / (2j * np.pi)) * convolve(weighted, chirp)
-
-
-def _direct_convolution(weighted: np.ndarray, chirp: np.ndarray) -> np.ndarray:
-    """np.convolve(weighted, chirp, "valid") summed over the nonzero span only.
-
-    Output j is sum_k weighted_k chirp[n-1+j-k]; the weights outside
-    [lo, hi] are exactly zero, so only chirp[n-1-hi : 2n-1-lo] enters, and
-    no FFT is taken.
-    """
-    n = weighted.size
     nonzero = np.flatnonzero(weighted)
     if nonzero.size == 0:
         return np.zeros(n, dtype=complex)
     lo, hi = nonzero[0], nonzero[-1]
-    return np.convolve(weighted[lo : hi + 1], chirp[n - 1 - hi : 2 * n - 1 - lo], mode="valid")
-
-
-def _fft_convolution(weighted: np.ndarray, chirp: np.ndarray) -> np.ndarray:
-    """np.convolve(weighted, chirp, "valid") as one circular convolution of length 2n.
-
-    The full convolution has 3n-2 terms; those at index >= 2n wrap onto
-    indices <= n-3, so the valid terms n-1 ... 2n-2 come out unaliased.
-    """
-    n = weighted.size
-    spectrum = scipy.fft.fft(weighted, 2 * n)
-    spectrum *= scipy.fft.fft(chirp, 2 * n)
-    return scipy.fft.ifft(spectrum, overwrite_x=True)[n - 1 : 2 * n - 1]
+    # output j sums weighted_k c_{j-k} over k in [lo, hi], so the lags run
+    # from -hi to n-1-lo; the chirp holds lag d at index d mod 2n
+    chirp = _lattice_cis(0.5 * a, 2 * n, 2)
+    lags = np.concatenate((chirp[2 * n - hi :], chirp[: n - lo]))
+    del chirp
+    return np.sqrt(a / (2j * np.pi)) * np.convolve(weighted[lo : hi + 1], lags, mode="valid")
 
 
 def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) -> PropagationResult:
@@ -177,7 +150,9 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     independent oracle for propagate_spectral: a direct sum with no FFT and
     O(N) memory over the S samples above a cut that moves the result by at
     most 2^-53 of the input's L2 norm, N x S <= N^2 complex multiply-adds.
-    Raises ValueError where the kernel phase overflows (t near 0).  Accuracy
+    The cut scales with the largest sample, so the sum is linear down to the
+    subnormal range.  Raises ValueError where the kernel phase at lag N, the
+    largest its chirp evaluates, overflows (t near 0).  Accuracy
     on oscillatory integrands is controlled by grid sizing: keep
     step <= hbar / (4 * p_max_relevant) with p_max_relevant the largest of
     the packet's momentum content and m |x - x'|_max / t.
@@ -186,9 +161,10 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     if t == 0:
         raise ValueError("propagate_quadrature: kernel is singular at t = 0 (identity)")
     a = _chirp_rate(psi0.grid, t, params)
-    d2 = (psi0.grid.n - 1) ** 2  # the largest (j - k)^2
-    _require_finite_phase(0.5 * a * d2, "propagate_quadrature", "m (x - x')^2 / 2 hbar t", t)
-    values = _free_kernel_sum(psi0.values, a, _direct_convolution)
+    # the chirp's largest phase is at lag n, the end of its 2n-point lattice
+    n2 = psi0.grid.n ** 2
+    _require_finite_phase(0.5 * a * n2, "propagate_quadrature", "m (x - x')^2 / 2 hbar t", t)
+    values = _direct_kernel_sum(psi0.values, a)
     out = ComplexField(values, psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
 
@@ -267,26 +243,34 @@ def asymptotic_form(
     -(x - xbar) x' = [(x - x')^2 - x^2 - x'^2]/2 + xbar x', that transform
     times the phase above is the free propagator applied to
     psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is the same Toeplitz
-    chirp sum as propagate_quadrature, taken here as one 2N-point FFT
-    convolution in O(N log N); the pre-chirp is exp[-i a d^2 / 2] with the
-    same chirp rate a and d = (x' - xbar) / step.  from_momentum checks that
+    chirp sum as propagate_quadrature, with the same chirp from
+    _lattice_cis, taken here as one circular 2N-point FFT convolution in
+    O(N log N); the pre-chirp is exp[-i a d^2 / 2] with the same chirp rate
+    a and d = (x' - xbar) / step.  from_momentum checks that
     phi0 is a momentum field on params.hbar's lattice.  The resulting density
     is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for |t| >> 2 m Dx^2 / hbar;
     t = 0 is rejected.
     """
     if t == 0:
         raise ValueError("asymptotic_form requires t != 0")
-    grid = phi0.grid
+    grid, n = phi0.grid, phi0.grid.n
     a = _chirp_rate(grid, t, params)
     # the pre-chirp's largest phases are at the grid's ends, in its own
-    # arithmetic; the kernel's is at lag n-1
+    # arithmetic; the kernel's is at lag n, the end of its 2n-point lattice
     x0, step = float(grid.x0), grid.step
-    ends = ((x - float(xbar)) / step for x in (x0, x0 + step * (grid.n - 1)))
-    phase = max(0.5 * a * (grid.n - 1) ** 2, *(0.5 * a * (d * d) for d in ends))
+    ends = ((x - float(xbar)) / step for x in (x0, x0 + step * (n - 1)))
+    phase = 0.5 * a * max(n**2, *(d * d for d in ends))
     _require_finite_phase(phase, "asymptotic_form", "m (x - xbar)^2 / 2 hbar t", t)
-    chirped = from_momentum(phi0, params).values
-    chirped *= _cis(-0.5 * a * ((grid.points - xbar) / grid.step) ** 2)
-    values = _free_kernel_sum(chirped, a, _fft_convolution)
+    d = (grid.points - xbar) / grid.step
+    weighted = from_momentum(phi0, params).values
+    weighted *= _cis(-0.5 * a * d**2)
+    weighted[[0, -1]] *= 0.5
+    # the sum over k of weighted_k c_{j-k} as one circular convolution of
+    # length 2n, whose chirp holds each lag at its index mod 2n
+    spectrum = scipy.fft.fft(weighted, 2 * n)
+    del weighted
+    spectrum *= scipy.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
+    values = np.sqrt(a / (2j * np.pi)) * scipy.fft.ifft(spectrum, overwrite_x=True)[:n]
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 
 

@@ -18,12 +18,13 @@ FFT order, with p = dp k and dp applied once.  Every transform is scipy.fft's
 complex fft/ifft.
 
 Every pure phase exp(i theta) in the package (the propagator and the
-translation, the transform's x0 correction, the quadrature chirp, the
-Hermite-Gauss and Galilean phases) is _cis(theta): np.cos and np.sin
-written into one complex array, with no complex exp and no i*theta
-temporary; a phase on the integer lattice, odd or even in k, takes its cos
-and sin over k >= 0 only (_lattice_cis).  The spectral multiply works in
-place, on the spectrum it allocated itself.
+translation, the transform's x0 correction, the chirp of the quadrature and
+the asymptotic form, the Hermite-Gauss and Galilean phases) is _cis(theta):
+np.cos and np.sin written into one complex array, with no complex exp and
+no i*theta temporary; a phase on the integer lattice, odd or even in k,
+takes its cos and sin over k >= 0 only (_lattice_cis: the propagator, the
+translation, the x0 correction and the chirp of both chirp sums).  The
+spectral multiply works in place, on the spectrum it allocated itself.
 """
 
 from __future__ import annotations

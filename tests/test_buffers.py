@@ -137,7 +137,8 @@ BUDGETS_MIB = {
         3.5,
         lambda f, x: galilean_boost(lambda y, t: gaussian_chi(BIG_FAM, y, t), 1.5, 0.0, PARAMS)(x, 0.3),
     ),
-    # the 2N-1 chirp values, the weighted copy, the sum and its scaled copy
+    # the 2N chirp values and the lags sliced from them, the weighted copy,
+    # the sum and its scaled copy
     "propagate_quadrature": (5.0, lambda f, x: propagate_quadrature(f, 1.0, PARAMS)),
     # the Gaussian's samples read as momentum samples; the peak does not
     # depend on the values

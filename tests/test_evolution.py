@@ -504,18 +504,32 @@ def test_kernel_sums_vanish_where_the_chirp_rate_underflows():
 
 
 
-def test_the_kernel_cut_keeps_every_sample_of_an_input_whose_norm_overflows():
+def test_the_kernel_cut_keeps_every_sample_of_an_input_whose_norm_overflows(monkeypatch):
     # |weighted|_2 is about 4.5e308, past the largest double; the cut is
     # taken from the largest sample alone
-    n, kept = 2048, []
+    n, kept = ORACLE_GRID.n, []
 
-    def convolve(weighted, chirp):
+    def spy(weighted, chirp, mode="full"):
         kept.append(np.count_nonzero(weighted))
         return np.zeros(n, dtype=complex)
 
+    monkeypatch.setattr(np, "convolve", spy)
+    psi0 = ComplexField(np.full(n, 1e307, dtype=complex), ORACLE_GRID)
     with np.errstate(all="raise"):
-        freepacket.evolution._free_kernel_sum(np.full(n, 1e307, dtype=complex), 1.0, convolve)
+        propagate_quadrature(psi0, 2.5 * ORACLE_FAM.tau, KERNEL_PARAMS)
     assert kept == [n]
+
+
+@pytest.mark.parametrize("scale", [1e-290, 1e-295, 1e-300])
+def test_quadrature_is_linear_down_to_the_subnormal_range(scale):
+    # the cut scales with the largest sample, so a field whose samples all
+    # lie far below 1 is summed over the same span as the field itself
+    psi0, t = oracle_gaussian(), 2.5 * ORACLE_FAM.tau
+    expected = propagate_quadrature(psi0, t, KERNEL_PARAMS).field.values
+    scaled = ComplexField(scale * psi0.values, ORACLE_GRID)
+    out = propagate_quadrature(scaled, t, KERNEL_PARAMS).field.values / scale
+    assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+
 
 OVERFLOWING_PHASES = {
     "spectral": (
@@ -554,6 +568,30 @@ def test_an_overflowing_pre_chirp_of_an_off_grid_mean_is_named():
     assert str(raised.value) == (
         "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t overflows at t = 10000.0"
     )
+
+
+@pytest.mark.parametrize("t", [4.5547e-305, -4.5547e-305])
+def test_the_chirp_sums_name_an_overflow_at_lag_n(t):
+    # the chirp is built over 2n lags, so its largest phase is a n^2 / 2,
+    # which overflows here although a (n - 1)^2 / 2 and the pre-chirp's
+    # phases at the grid's ends do not; at t < 0 every phase is negative
+    params, grid = PhysicsParams(hbar=1.0, mass=1.0), Grid.centered(64.0, 2048)
+    n = grid.n
+    a = freepacket.evolution._chirp_rate(grid, t, params)
+    assert math.isfinite(0.5 * a * (n - 1) ** 2) and not math.isfinite(0.5 * a * n**2)
+    psi0 = ComplexField(np.exp(-0.5 * grid.points**2) / math.pi**0.25, grid)
+    calls = {
+        "propagate_quadrature: the phase m (x - x')^2 / 2 hbar t": lambda: propagate_quadrature(
+            psi0, t, params
+        ),
+        "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t": lambda: asymptotic_form(
+            to_momentum(psi0, params), 0.0, t, params
+        ),
+    }
+    for message, call in calls.items():
+        with np.errstate(all="raise"), pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"{message} overflows at t = {t!r}"
 
 def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
     m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar
