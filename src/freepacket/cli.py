@@ -23,7 +23,8 @@ error.  A run warns when the grid is narrower than 10 initial spreads or its
 step wider than one; the initial spread behind both warnings and the
 asymptotic bound is exact for every family; for derivative packets it is
 Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
-by zero or invalid operation while running is a runtime error (exit 2).
+by zero or invalid operation while running is a runtime error (exit 2), and
+so is a grid too large for memory.
 Every slice is computed before any file is written, so a run that exits 2
 while computing creates no output directory and writes no file.  Slice files
 are written in each of `output.formats`; the summary is always CSV.  A run
@@ -543,7 +544,7 @@ def main(argv=None) -> int:
 
     try:
         return run_scenario(cfg)
-    except (OSError, ValueError, ArithmeticError) as err:
+    except (OSError, ValueError, ArithmeticError, MemoryError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

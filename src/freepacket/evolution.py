@@ -14,9 +14,10 @@ cut that moves the sum by at most 2^-53 of the input's L2 norm (see
 _direct_kernel_sum), O(N) memory and no FFT.  The asymptotic form is the
 same chirp sum with the same a (see asymptotic_form), but it is not the
 oracle, so it takes the sum as one circular 2N-point FFT convolution
-(Bluestein's chirp-z identity) in O(N log N).  The
-short-time translation, also one FFT pair, and the large-time asymptotic
-form come with the rigorous sup-norm bounds
+(Bluestein's chirp-z identity) in O(N log N), and it is 0 where its
+momentum m (x - xbar) / t lies beyond the band of the momentum lattice.
+The short-time translation, also one FFT pair, and the large-time
+asymptotic form come with the rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
     sup_x |delta psi|^2 <= sqrt(m^3 / (pi hbar^3 t^3)) Dx^2    (large time)
@@ -248,7 +249,9 @@ def asymptotic_form(
     O(N log N); the pre-chirp is exp[-i a d^2 / 2] with the same chirp rate
     a and d = (x' - xbar) / step.  from_momentum checks that
     phi0 is a momentum field on params.hbar's lattice.  The resulting density
-    is (m/t) |phi0(m(x-xbar)/t)|^2.  Valid for |t| >> 2 m Dx^2 / hbar;
+    is (m/t) |phi0(m(x-xbar)/t)|^2.  Where m |x - xbar| / t reaches the
+    lattice's band edge pi hbar / step the form is 0, not the band's periodic
+    image, so no image adds to its norm.  Valid for |t| >> 2 m Dx^2 / hbar;
     t = 0 is rejected.
     """
     if t == 0:
@@ -271,6 +274,9 @@ def asymptotic_form(
     del weighted
     spectrum *= scipy.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
     values = np.sqrt(a / (2j * np.pi)) * scipy.fft.ifft(spectrum, overwrite_x=True)[:n]
+    # phi0 is known for |p| step / hbar = |a d| < pi only; beyond the band
+    # its interpolant repeats it, so the form is set to 0 there
+    values[np.abs(d) * abs(a) >= np.pi] = 0
     return PropagationResult(ComplexField(values, grid), t, Method.ASYMPTOTIC)
 
 

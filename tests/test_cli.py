@@ -560,6 +560,24 @@ def test_bounds_at_time_zero_has_no_asymptotic_sup(tmp_path):
     assert math.isfinite(float(one["asym_sup_dpsi2"]))
 
 
+BOUNDS_FAMILIES = ("gaussian", "hermite-gauss\nfamily.n = 10", "derivative", "square")
+
+
+@pytest.mark.parametrize("family", BOUNDS_FAMILIES, ids=lambda family: family.split()[0])
+def test_bounds_scenario_keeps_both_bounds_for_every_family(tmp_path, family):
+    # at t <= tau the asymptotic form reaches the momentum lattice's band
+    # edge inside the grid; beyond it the form is 0, so its remainder is not
+    # the band's periodic images
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = bounds\nfamily = {family}\n")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = [r for r in read_csv(tmp_path / "out" / "bounds_summary.csv") if float(r["t"]) > 0]
+    assert rows
+    for row in rows:
+        assert float(row["short_sup_dpsi2"]) <= float(row["short_time_bound"]), row
+        assert float(row["asym_sup_dpsi2"]) <= float(row["asymptotic_bound"]), row
+
+
 def test_gaussian_family_writes_the_bytes_of_hermite_gauss_order_zero(tmp_path):
     # the gaussian is chi_0, evaluated by the same code with the same spread
     written = {}
@@ -682,6 +700,17 @@ def test_main_floating_point_error_exits_two(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
     warning, error = capsys.readouterr().err.splitlines()
     assert warning.startswith("warning: grid step") and error.startswith("runtime error:")
+
+
+def test_main_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    # a grid that fits no memory (grid.n = 2^40 is a valid power of two)
+    # ends in numpy's MemoryError; it is a runtime error, not a config error
+    def run_out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(freepacket.cli, "run_scenario", run_out_of_memory)
+    assert main(["--scenario", "fig1", "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: Unable to allocate 16.0 TiB for an array\n"
 
 
 @pytest.mark.parametrize(

@@ -616,6 +616,15 @@ def test_asymptotic_over_a_partial_support_matches_direct_chirp_sum(support):
     _assert_asymptotic_is_direct_chirp_sum(_supported_on(support), 0.4, 2.5)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_asymptotic_form_is_zero_beyond_the_band(t):
+    # here m |x| / t passes the lattice's band edge pi hbar / step inside the
+    # grid; the band's periodic images there made its norm^2 3 and 5
+    phi0 = to_momentum(oracle_gaussian(), KERNEL_PARAMS)
+    out = asymptotic_form(phi0, 0.0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field
+    assert quadrature_norm2(out) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_asymptotic_rejects_t_zero(gauss_fam, grid, params):
     phi0 = to_momentum(chi_field(gauss_fam, grid), params)
     with pytest.raises(ValueError):
