@@ -580,18 +580,15 @@ def test_the_chirp_sums_name_an_overflow_at_lag_n(t):
     a = freepacket.evolution._chirp_rate(grid, t, params)
     assert math.isfinite(0.5 * a * (n - 1) ** 2) and not math.isfinite(0.5 * a * n**2)
     psi0 = ComplexField(np.exp(-0.5 * grid.points**2) / math.pi**0.25, grid)
-    calls = {
-        "propagate_quadrature: the phase m (x - x')^2 / 2 hbar t": lambda: propagate_quadrature(
-            psi0, t, params
-        ),
-        "asymptotic_form: the phase m (x - xbar)^2 / 2 hbar t": lambda: asymptotic_form(
-            to_momentum(psi0, params), 0.0, t, params
-        ),
-    }
-    for message, call in calls.items():
+    phi0 = to_momentum(psi0, params)
+    for message, call in (
+        ("propagate_quadrature: the phase m (x - x')^2", lambda: propagate_quadrature(psi0, t, params)),
+        ("asymptotic_form: the phase m (x - xbar)^2", lambda: asymptotic_form(phi0, 0.0, t, params)),
+    ):
         with np.errstate(all="raise"), pytest.raises(ValueError) as raised:
             call()
-        assert str(raised.value) == f"{message} overflows at t = {t!r}"
+        assert str(raised.value) == f"{message} / 2 hbar t overflows at t = {t!r}"
+
 
 def _assert_asymptotic_is_direct_chirp_sum(psi0, xbar, t):
     m, hbar = KERNEL_PARAMS.mass, KERNEL_PARAMS.hbar
@@ -619,7 +616,7 @@ def test_asymptotic_over_a_partial_support_matches_direct_chirp_sum(support):
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_asymptotic_form_is_zero_beyond_the_band(t):
     # here m |x| / t passes the lattice's band edge pi hbar / step inside the
-    # grid; the band's periodic images there made its norm^2 3 and 5
+    # grid; the band's periodic images there made its norm^2 5 and 3
     phi0 = to_momentum(oracle_gaussian(), KERNEL_PARAMS)
     out = asymptotic_form(phi0, 0.0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field
     assert quadrature_norm2(out) == pytest.approx(1.0, abs=1e-6)
