@@ -16,8 +16,11 @@ same chirp sum with the same a (see asymptotic_form), but it is not the
 oracle, so it takes the sum as one circular 2N-point FFT convolution
 (Bluestein's chirp-z identity) in O(N log N), and it is 0 where its
 momentum m (x - xbar) / t lies beyond the band of the momentum lattice.
-The short-time translation, also one FFT pair, and the large-time
-asymptotic form come with the rigorous sup-norm bounds
+The spectral propagator, the short-time translation and that convolution
+each hand a forward FFT to numerics._spectral_apply, which multiplies it in
+place and takes the inverse FFT; the quadrature calls neither.  The
+short-time translation and the large-time asymptotic form come with the
+rigorous sup-norm bounds
 
     sup_x |delta psi|^2 <= sqrt(t / (pi m hbar^3)) Dp^2        (short time)
     sup_x |delta psi|^2 <= sqrt(m^3 / (pi hbar^3 t^3)) Dx^2    (large time)
@@ -91,7 +94,7 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     theta = -0.5 * (dp / params.mass) * (dp * t / params.hbar)  # theta k^2 = -p^2 t / 2 m hbar
     k2 = (psi0.grid.n // 2) ** 2  # the largest k^2
     _require_finite_phase(theta * k2, "propagate_spectral", "p^2 t / 2 m hbar", t)
-    values = _spectral_apply(psi0, _lattice_cis(theta, psi0.grid.n, 2))
+    values = _spectral_apply(_lattice_cis(theta, psi0.grid.n, 2), scipy.fft.fft(psi0.values))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
@@ -185,15 +188,20 @@ def short_time_approx(
     non-integer-lattice displacements; what remains when comparing against
     exact propagation is the physics error of the approximation, not
     interpolation error.  Recommended for |t| << m hbar / Dp^2 (not enforced).
+    Raises ValueError where the translation's phase at the lattice's band
+    edge or the global phase leaves the double range.
     """
     _require_position(psi0, "short_time_approx")
     if t == 0:
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
-    shift = pbar * t / params.mass
-    dk = psi0.grid.momentum_step(1.0)
-    psi = _spectral_apply(psi0, _lattice_cis(-(dk * shift), psi0.grid.n, 1))
-    values = _cis(0.5 * (pbar / params.hbar) * shift) * psi  # pbar^2 t / 2 m hbar
+    shift, n = pbar * t / params.mass, psi0.grid.n
+    rate = -(psi0.grid.momentum_step(1.0) * shift)  # rate k = -p shift / hbar
+    phase = 0.5 * (pbar / params.hbar) * shift  # pbar^2 t / 2 m hbar
+    _require_finite_phase(rate * (n // 2), "short_time_approx", "p pbar t / m hbar", t)
+    _require_finite_phase(phase, "short_time_approx", "pbar^2 t / 2 m hbar", t)
+    psi = _spectral_apply(_lattice_cis(rate, n, 1), scipy.fft.fft(psi0.values))
+    values = _cis(phase) * psi
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
 
@@ -246,10 +254,11 @@ def asymptotic_form(
     psi0(x') exp[-i m (x' - xbar)^2 / 2 hbar t], so it is the same Toeplitz
     chirp sum as propagate_quadrature, with the same chirp from
     _lattice_cis, taken here as one circular 2N-point FFT convolution in
-    O(N log N); the pre-chirp is exp[-i a d^2 / 2] with the same chirp rate
-    a and d = (x' - xbar) / step.  from_momentum checks that
-    phi0 is a momentum field on params.hbar's lattice.  The resulting density
-    is (m/t) |phi0(m(x-xbar)/t)|^2.  Where m |x - xbar| / t reaches the
+    O(N log N) (the packet's spectrum times the chirp's, inverse-transformed
+    by numerics._spectral_apply); the pre-chirp is exp[-i a d^2 / 2] with
+    the same chirp rate a and d = (x' - xbar) / step.  from_momentum checks
+    that phi0 is a momentum field on params.hbar's lattice.  The resulting
+    density is (m/t) |phi0(m(x-xbar)/t)|^2.  Where m |x - xbar| / t reaches the
     lattice's band edge pi hbar / step the form is 0, not the band's periodic
     image, so no image adds to its norm.  Valid for |t| >> 2 m Dx^2 / hbar;
     t = 0 is rejected.
@@ -272,8 +281,8 @@ def asymptotic_form(
     # length 2n, whose chirp holds each lag at its index mod 2n
     spectrum = scipy.fft.fft(weighted, 2 * n)
     del weighted
-    spectrum *= scipy.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
-    values = np.sqrt(a / (2j * np.pi)) * scipy.fft.ifft(spectrum, overwrite_x=True)[:n]
+    chirp = scipy.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
+    values = np.sqrt(a / (2j * np.pi)) * _spectral_apply(spectrum, chirp)[:n]
     # phi0 is known for |p| step / hbar = |a d| < pi only; beyond the band
     # its interpolant repeats it, so the form is set to 0 there
     values[np.abs(d) * abs(a) >= np.pi] = 0

@@ -15,7 +15,7 @@ and the amplitude is step / sqrt(2 pi) / sqrt(hbar), so no transform forms
 is diagonal in momentum (free evolution, translation, derivatives), so those,
 like the momentum moments, run on the bare FFT over the integer lattice k in
 FFT order, with p = dp k and dp applied once.  Every transform is scipy.fft's
-complex fft/ifft.
+complex fft/ifft, and every inverse one is taken by _spectral_apply.
 
 Every pure phase exp(i theta) in the package (the propagator and the
 translation, the transform's x0 correction, the chirp of the quadrature and
@@ -24,7 +24,7 @@ np.cos and np.sin written into one complex array, with no complex exp and
 no i*theta temporary; a phase on the integer lattice, odd or even in k,
 takes its cos and sin over k >= 0 only (_lattice_cis: the propagator, the
 translation, the x0 correction and the chirp of both chirp sums).  The
-spectral multiply works in place, on the spectrum it allocated itself.
+spectral multiply works in place, on the spectrum its caller hands over.
 """
 
 from __future__ import annotations
@@ -273,24 +273,30 @@ def from_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
             f"field momentum lattice was built with hbar={f.hbar}, got params.hbar={params.hbar}"
         )
     g = f.grid
-    spectrum = _lattice_cis(_origin_rate(g), g.n, 1)
-    np.multiply(spectrum, _swap_halves(f.values), out=spectrum)
-    psi = scipy.fft.ifft(spectrum, overwrite_x=True)
+    psi = _spectral_apply(_lattice_cis(_origin_rate(g), g.n, 1), _swap_halves(f.values))
     psi = math.sqrt(2 * np.pi) * math.sqrt(params.hbar) / g.step * psi
     return ComplexField(psi, g, Representation.POSITION)
 
 
-def _spectral_apply(f: ComplexField, factor: np.ndarray) -> np.ndarray:
-    """Position values of factor_k psi_k for an operator diagonal in momentum.
+def _spectral_apply(factor: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Inverse FFT of factor_k spectrum_k: the package's one inverse transform.
 
-    One FFT pair on the integer lattice k in FFT order (0, 1, ..., -1), with
-    p = dp k: each caller folds dp and its constants into one scalar, so no
-    momentum is formed or squared (tested for m from 1e-300 to 1e308 and
-    hbar from 1e-300 to 1e308).  The reordering, the phase exp(-i p x0 / hbar)
-    and the amplitude that to_momentum applies and from_momentum removes
-    commute with any momentum-diagonal multiplier, so they cancel for every x0.
+    spectrum holds samples on the integer lattice k in FFT order (0, 1, ...,
+    -1), with p = dp k: a bare FFT, or from_momentum's reordered momentum
+    samples.  factor is a multiplier diagonal in k: the free propagator, the
+    short-time translation, a derivative, from_momentum's x0 correction, or
+    the <R> multiplier k - <k> of moments, each with dp and its constants
+    folded into one scalar, so no momentum is formed or squared (tested for
+    m from 1e-300 to 1e308 and hbar from 1e-300 to 1e308).  On the 2N
+    lattice of asymptotic_form, factor is the packet's spectrum and spectrum
+    the chirp's.  The reordering, the phase exp(-i p x0 / hbar) and
+    the amplitude that to_momentum applies and from_momentum removes commute
+    with any momentum-diagonal multiplier, so they cancel for every x0.
+
+    The product overwrites spectrum and is inverse-transformed in place, so a
+    caller hands over an array of its own (never f.values) and builds factor
+    first, before that array exists.
     """
-    spectrum = scipy.fft.fft(f.values)
     return scipy.fft.ifft(np.multiply(factor, spectrum, out=spectrum), overwrite_x=True)
 
 
@@ -308,7 +314,7 @@ def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
         return ComplexField(f.values.copy(), f.grid)
     dk, n = f.grid.momentum_step(1.0), f.grid.n
     k = np.fft.fftfreq(n, 1 / n)
-    return ComplexField(_spectral_apply(f, (1j * (dk * k)) ** order), f.grid)
+    return ComplexField(_spectral_apply((1j * (dk * k)) ** order, scipy.fft.fft(f.values)), f.grid)
 
 
 def quadrature_norm2(f: ComplexField) -> float:

@@ -36,8 +36,9 @@ densities are re^2 + im^2, and the <R> integrand is
 enter in grid steps, as d = (x - <x>) / step formed once in place of the
 positions array: Dx = step sqrt(Var d) and
 <R> = dp step int d Re[psi* Q psi / dp] dx.  For a packet with finite
-moments the one spectrum, scaled by k - <k> and inverse-transformed in
-place, is the only field-sized complex array it forms.
+moments the one spectrum, handed to numerics._spectral_apply, which scales
+it by k - <k> and inverse-transforms it in place, is the only field-sized
+complex array it forms.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .numerics import ComplexField, PhysicsParams, _require_position, _trapz
+from .numerics import ComplexField, PhysicsParams, _require_position, _spectral_apply, _trapz
 
 __all__ = [
     "PacketMoments",
@@ -132,9 +133,10 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     a position or a momentum (tested for m from 1e-300 to 1e308 and hbar from
     1e-300 to 1e308).  <R> is the inner product
     Re int psi* (x - <x>)(-i hbar d/dx - <p>) psi dx with (P - <p>) psi / dp
-    the inverse FFT of that same spectrum times k - <k>, taken in place.  It
-    is an action, Dp^2 (t - t_min) / m, and raises ValueError where it leaves
-    the double range (at hbar near the largest double).
+    the inverse FFT of that same spectrum times k - <k>, taken in place by
+    numerics._spectral_apply.  It is an action, Dp^2 (t - t_min) / m, and
+    raises ValueError where it leaves the double range (at hbar near the
+    largest double).
     """
     _require_position(f, "moments")
     grid = f.grid
@@ -159,8 +161,7 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     if x_diverges:
         delta_x = mean_r = math.nan
     else:
-        np.multiply(spectrum, k, out=spectrum)
-        k_psi = scipy.fft.ifft(spectrum, overwrite_x=True)  # (P - <p>) psi / dp
+        k_psi = _spectral_apply(k, spectrum)  # (P - <p>) psi / dp
         # Re[psi* (P - <p>) psi] / dp in real arithmetic
         overlap = re * k_psi.real + im * k_psi.imag
         mean_r = dp * grid.step * _trapz(d * overlap, grid.step)

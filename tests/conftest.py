@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from freepacket import Grid, GaussianFamily, PhysicsParams, quadrature_norm2
 
@@ -49,3 +52,20 @@ def rel_l2_values(values_a, values_b, step):
     diff = np.sqrt(np.trapezoid(np.abs(values_a - values_b) ** 2, dx=step))
     scale = np.sqrt(np.trapezoid(np.abs(values_b) ** 2, dx=step))
     return diff / scale
+
+
+def count_transforms(monkeypatch) -> Counter:
+    """Count calls into every transform of numpy.fft and scipy.fft, by name."""
+    calls = Counter()
+    helpers = {"fftshift", "ifftshift", "fftfreq", "rfftfreq"}
+    for module in (np.fft, scipy.fft):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if callable(fn) and name not in helpers and not name.startswith(("set_", "get_")):
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -130,7 +130,12 @@ BUDGETS_MIB = {
     "moments": (4.0, lambda f, x: moments(f, PARAMS)),
     "propagate_spectral": (2.5, lambda f, x: propagate_spectral(f, 1.0, PARAMS)),
     "short_time_approx": (2.5, lambda f, x: short_time_approx(f, 0.1, PARAMS, 0.5)),
-    "to_momentum": (3.5, lambda f, x: to_momentum(f, PARAMS)),
+    "to_momentum": (2.5, lambda f, x: to_momentum(f, PARAMS)),
+    # the Gaussian's samples read as momentum samples, as for asymptotic_form
+    "from_momentum": (
+        2.5,
+        lambda f, x: from_momentum(ComplexField(f.values, BIG, Representation.MOMENTUM, PARAMS.hbar), PARAMS),
+    ),
     "hermite_gauss": (4.0, lambda f, x: hermite_gauss(BIG_FAM, 5, x, 0.3)),
     "derivative_packet": (5.0, lambda f, x: derivative_packet(BIG_FAM, 6, x, 0.3)),
     "galilean_boost": (
@@ -139,11 +144,11 @@ BUDGETS_MIB = {
     ),
     # the 2N chirp values and the lags sliced from them, the weighted copy,
     # the sum and its scaled copy
-    "propagate_quadrature": (5.0, lambda f, x: propagate_quadrature(f, 1.0, PARAMS)),
+    "propagate_quadrature": (4.5, lambda f, x: propagate_quadrature(f, 1.0, PARAMS)),
     # the Gaussian's samples read as momentum samples; the peak does not
     # depend on the values
     "asymptotic_form": (
-        8.5,
+        7.0,
         lambda f, x: asymptotic_form(
             ComplexField(f.values, BIG, Representation.MOMENTUM, PARAMS.hbar), 0.0, 40.0, PARAMS
         ),

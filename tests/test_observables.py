@@ -3,7 +3,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +41,7 @@ from freepacket import (
 )
 from freepacket.observables import _P_DIVERGENCE_TOL, _REAL_INSTANT_TOL
 
-from conftest import SCALE_CASES
+from conftest import SCALE_CASES, count_transforms
 
 
 # ---------------------------------------------------------------- moments
@@ -213,33 +212,16 @@ def test_moments_match_public_transform_reference(g, kind):
         assert got.delta_p == math.inf and math.isnan(got.delta_x) and math.isnan(got.mean_r)
 
 
-def _count_transforms(monkeypatch):
-    """Count calls into every transform of numpy.fft and scipy.fft, by name."""
-    calls = Counter()
-    helpers = {"fftshift", "ifftshift", "fftfreq", "rfftfreq"}
-    for module in (np.fft, scipy.fft):
-        for name in module.__all__:
-            fn = getattr(module, name)
-            if callable(fn) and name not in helpers and not name.startswith(("set_", "get_")):
-
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    calls[_name] += 1
-                    return _fn(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
+def test_moments_take_one_forward_and_one_inverse_transform(monkeypatch):
+    smooth = ref_packet("boosted-derivative", REF_GRIDS["arbitrary"])
+    divergent = ref_packet("square-evolved", REF_GRIDS["offset"])
+    calls = count_transforms(monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("moments called to_momentum")
 
     monkeypatch.setattr(freepacket.numerics, "to_momentum", refuse)
     monkeypatch.setattr(freepacket.observables, "to_momentum", refuse, raising=False)
-    return calls
-
-
-def test_moments_take_one_forward_and_one_inverse_transform(monkeypatch):
-    smooth = ref_packet("boosted-derivative", REF_GRIDS["arbitrary"])
-    divergent = ref_packet("square-evolved", REF_GRIDS["offset"])
-    calls = _count_transforms(monkeypatch)
     moments(smooth, REF_PARAMS)
     assert calls == Counter(fft=1, ifft=1)
     calls.clear()

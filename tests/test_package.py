@@ -1,5 +1,7 @@
-"""The package surface: each public name is listed once, by the layer that owns it."""
+"""The package surface: each public name is listed once, by the layer that
+owns it, and every inverse transform is taken in one place."""
 
+import ast
 import contextlib
 import inspect
 import io
@@ -7,12 +9,32 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+import scipy.fft
+from conftest import count_transforms
 
 import freepacket
-from freepacket import evolution, numerics, observables, packets
+from freepacket import (
+    GaussianFamily,
+    Grid,
+    PhysicsParams,
+    asymptotic_form,
+    evolution,
+    from_momentum,
+    hermite_gauss,
+    moments,
+    numerics,
+    observables,
+    packets,
+    propagate_spectral,
+    sample,
+    short_time_approx,
+    spectral_derivative,
+    to_momentum,
+)
 
 LAYERS = (evolution, numerics, observables, packets)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,3 +82,62 @@ def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.split() == ["False"]
+
+
+# every inverse transform scipy.fft offers, not its shift helper
+INVERSE_TRANSFORMS = {name for name in scipy.fft.__all__ if name.startswith("i") and not name.endswith("shift")}
+
+
+class _InverseTransformSites(ast.NodeVisitor):
+    """(module, innermost enclosing function) of every call to an inverse transform."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.sites = module, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        callee = node.func
+        name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+        if name in INVERSE_TRANSFORMS:
+            self.sites.append((self.module, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_the_package_takes_every_inverse_transform_in_spectral_apply():
+    sites = []
+    for path in sorted(Path(freepacket.__file__).parent.glob("*.py")):
+        visitor = _InverseTransformSites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sites == [("numerics", "_spectral_apply")]
+
+
+PARAMS = PhysicsParams(hbar=0.7, mass=1.3)
+FAM = GaussianFamily(params=PARAMS, tau=0.5)
+
+# each spectral caller, on a smooth position field f and its momentum field
+# phi, with the transforms one call takes
+SPECTRAL_CALLERS = {
+    "propagate_spectral": (lambda f, phi: propagate_spectral(f, 0.7, PARAMS), Counter(fft=1, ifft=1)),
+    "short_time_approx": (lambda f, phi: short_time_approx(f, 0.01, PARAMS, 1.5), Counter(fft=1, ifft=1)),
+    "spectral_derivative": (lambda f, phi: spectral_derivative(f, 2), Counter(fft=1, ifft=1)),
+    "to_momentum": (lambda f, phi: to_momentum(f, PARAMS), Counter(fft=1)),
+    "from_momentum": (lambda f, phi: from_momentum(phi, PARAMS), Counter(ifft=1)),
+    # from_momentum, then the packet's and the chirp's 2N-point spectra and
+    # the inverse of their product
+    "asymptotic_form": (lambda f, phi: asymptotic_form(phi, 0.0, 40.0, PARAMS), Counter(fft=2, ifft=2)),
+    "moments": (lambda f, phi: moments(f, PARAMS), Counter(fft=1, ifft=1)),
+}
+
+
+@pytest.mark.parametrize("call, expected", SPECTRAL_CALLERS.values(), ids=SPECTRAL_CALLERS.keys())
+def test_each_spectral_caller_takes_its_transforms(monkeypatch, call, expected):
+    f = sample(lambda x, t: hermite_gauss(FAM, 2, x, t), Grid.centered(8.0, 256), 0.3)
+    phi = to_momentum(f, PARAMS)
+    calls = count_transforms(monkeypatch)
+    call(f, phi)
+    assert calls == expected
