@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .numerics import (
     ComplexField,
@@ -94,7 +93,7 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
     theta = -0.5 * (dp / params.mass) * (dp * t / params.hbar)  # theta k^2 = -p^2 t / 2 m hbar
     k2 = (psi0.grid.n // 2) ** 2  # the largest k^2
     _require_finite_phase(theta * k2, "propagate_spectral", "p^2 t / 2 m hbar", t)
-    values = _spectral_apply(_lattice_cis(theta, psi0.grid.n, 2), scipy.fft.fft(psi0.values))
+    values = _spectral_apply(_lattice_cis(theta, psi0.grid.n, 2), np.fft.fft(psi0.values))
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SPECTRAL_EXACT)
 
 
@@ -200,7 +199,7 @@ def short_time_approx(
     phase = 0.5 * (pbar / params.hbar) * shift  # pbar^2 t / 2 m hbar
     _require_finite_phase(rate * (n // 2), "short_time_approx", "p pbar t / m hbar", t)
     _require_finite_phase(phase, "short_time_approx", "pbar^2 t / 2 m hbar", t)
-    psi = _spectral_apply(_lattice_cis(rate, n, 1), scipy.fft.fft(psi0.values))
+    psi = _spectral_apply(_lattice_cis(rate, n, 1), np.fft.fft(psi0.values))
     values = _cis(phase) * psi
     return PropagationResult(ComplexField(values, psi0.grid), t, Method.SHORT_TIME)
 
@@ -279,9 +278,9 @@ def asymptotic_form(
     weighted[[0, -1]] *= 0.5
     # the sum over k of weighted_k c_{j-k} as one circular convolution of
     # length 2n, whose chirp holds each lag at its index mod 2n
-    spectrum = scipy.fft.fft(weighted, 2 * n)
+    spectrum = np.fft.fft(weighted, 2 * n)
     del weighted
-    chirp = scipy.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
+    chirp = np.fft.fft(_lattice_cis(0.5 * a, 2 * n, 2))
     values = np.sqrt(a / (2j * np.pi)) * _spectral_apply(spectrum, chirp)[:n]
     # phi0 is known for |p| step / hbar = |a d| < pi only; beyond the band
     # its interpolant repeats it, so the form is set to 0 there

@@ -14,8 +14,11 @@ and the amplitude is step / sqrt(2 pi) / sqrt(hbar), so no transform forms
 2 pi hbar or a momentum.  The corrections cancel around any operator that
 is diagonal in momentum (free evolution, translation, derivatives), so those,
 like the momentum moments, run on the bare FFT over the integer lattice k in
-FFT order, with p = dp k and dp applied once.  Every transform is scipy.fft's
-complex fft/ifft, and every inverse one is taken by _spectral_apply.
+FFT order, with p = dp k and dp applied once.  Every transform is numpy.fft's
+complex fft/ifft, called through the module, and every inverse one is taken
+by _spectral_apply.  The package imports scipy in one place only: fresnel
+imports scipy.special on its first call, so importing the package loads no
+scipy module.
 
 Every pure phase exp(i theta) in the package (the propagator and the
 translation, the transform's x0 correction, the chirp of the quadrature and
@@ -34,8 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
-import scipy.special
 
 __all__ = [
     "PhysicsParams",
@@ -214,7 +215,11 @@ def fresnel(u):
     scipy.special.fresnel, which returns them as (S, C).  Exactly odd in u;
     measured within 2.5e-15 absolute of a 40-digit mpmath reference on
     |u| <= 60.  Accepts scalars or arrays; returns a pair of matching shape.
+    scipy.special is imported here, on first use, and nowhere else in the
+    package, so only the square family's Fresnel path pays for loading it.
     """
+    import scipy.special
+
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise ValueError("fresnel argument must be finite")
@@ -234,6 +239,15 @@ def _lattice_cis(rate: float, n: int, power: int) -> np.ndarray:
     half = _cis(rate * np.arange(n // 2 + 1) ** power)
     negative = half[:0:-1]  # k = -n/2 ... -1
     return np.concatenate((half[:-1], np.conj(negative) if power == 1 else negative))
+
+
+def _integer_lattice(n: int) -> np.ndarray:
+    """The integer lattice k in FFT order (0, 1, ..., n/2 - 1, -n/2, ..., -1)
+    as floats: bitwise np.fft.fftfreq(n, 1 / n) for n a power of two, without
+    its integer array and the multiply that converts it."""
+    k = np.arange(n, dtype=float)
+    k[n // 2 :] -= n
+    return k
 
 
 def _swap_halves(values: np.ndarray) -> np.ndarray:
@@ -260,7 +274,7 @@ def to_momentum(f: ComplexField, params: PhysicsParams) -> ComplexField:
     g, hbar = f.grid, params.hbar
     phi = _lattice_cis(-_origin_rate(g), g.n, 1)
     np.multiply(g.step / math.sqrt(2 * np.pi) / math.sqrt(hbar), phi, out=phi)
-    np.multiply(phi, scipy.fft.fft(f.values), out=phi)
+    np.multiply(phi, np.fft.fft(f.values), out=phi)
     return ComplexField(_swap_halves(phi), g, Representation.MOMENTUM, hbar=hbar)
 
 
@@ -297,7 +311,7 @@ def _spectral_apply(factor: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     caller hands over an array of its own (never f.values) and builds factor
     first, before that array exists.
     """
-    return scipy.fft.ifft(np.multiply(factor, spectrum, out=spectrum), overwrite_x=True)
+    return np.fft.ifft(np.multiply(factor, spectrum, out=spectrum), out=spectrum)
 
 
 def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
@@ -312,9 +326,8 @@ def spectral_derivative(f: ComplexField, order: int) -> ComplexField:
         raise ValueError(f"derivative order must be a nonnegative integer, got {order}")
     if order == 0:
         return ComplexField(f.values.copy(), f.grid)
-    dk, n = f.grid.momentum_step(1.0), f.grid.n
-    k = np.fft.fftfreq(n, 1 / n)
-    return ComplexField(_spectral_apply((1j * (dk * k)) ** order, scipy.fft.fft(f.values)), f.grid)
+    dk, k = f.grid.momentum_step(1.0), _integer_lattice(f.grid.n)
+    return ComplexField(_spectral_apply((1j * (dk * k)) ** order, np.fft.fft(f.values)), f.grid)
 
 
 def quadrature_norm2(f: ComplexField) -> float:

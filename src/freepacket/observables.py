@@ -47,9 +47,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .numerics import ComplexField, PhysicsParams, _require_position, _spectral_apply, _trapz
+from .numerics import (
+    ComplexField,
+    PhysicsParams,
+    _integer_lattice,
+    _require_position,
+    _spectral_apply,
+    _trapz,
+)
 
 __all__ = [
     "PacketMoments",
@@ -102,7 +108,7 @@ def _lattice_moments(spectrum: np.ndarray, step: float):
     lattice k in FFT order, weighted by w_k = step |FFT_k|^2 / n (the momentum
     density times dp, so they sum to the norm whatever hbar is)."""
     n = spectrum.size
-    k = np.fft.fftfreq(n, 1 / n)
+    k = _integer_lattice(n)
     weights = spectrum.real**2 + spectrum.imag**2
     weights *= step / n
     # <k> leaves out the Nyquist bin k = -n/2: that component belongs to +n/2
@@ -153,7 +159,7 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
     d /= grid.step
     var_d = _trapz(d * d * density_x, grid.step)
 
-    spectrum = scipy.fft.fft(f.values)
+    spectrum = np.fft.fft(f.values)
     k, mean_k, var_k, p_diverges = _lattice_moments(spectrum, grid.step)
     x_diverges = p_diverges and not _at_real_instant(f.values, density_x)
 

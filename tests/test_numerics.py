@@ -29,7 +29,7 @@ from freepacket import (
     to_momentum,
 )
 
-from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _lattice_cis
+from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _integer_lattice, _lattice_cis
 
 from conftest import rel_l2_values
 
@@ -114,6 +114,12 @@ def test_cis_equals_complex_exp_within_one_ulp(theta):
         np.testing.assert_array_max_ulp(np.real(got), np.real(expected), maxulp=1)
         np.testing.assert_array_max_ulp(np.imag(got), np.imag(expected), maxulp=1)
 
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(3, 17)])
+def test_integer_lattice_is_fftfreq_bitwise(n):
+    k, expected = _integer_lattice(n), np.fft.fftfreq(n, 1 / n)
+    assert k.dtype == expected.dtype and k.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 2048, 65536])

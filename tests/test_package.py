@@ -74,14 +74,36 @@ def test_readme_library_example_runs():
         assert measured == pytest.approx(predicted, rel=1e-6)
 
 
+def _fresh_interpreter_output(code: str, *args: str) -> list[str]:
+    """The words that `python -c code args` prints, with the package on its path."""
+    paths = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout.split()
+
+
 def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
     # its code and tables hold about 0.5 MB of resident memory, which a
     # process that imports the command line but writes no CSV does not need
     code = "import sys, freepacket.cli; print('freepacket._csvtext' in sys.modules)"
-    paths = [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert result.stdout.split() == ["False"]
+    assert _fresh_interpreter_output(code) == ["False"]
+
+
+@pytest.mark.parametrize("scenario, loads_special", [("fig1", False), ("fig3", True)])
+def test_scipy_is_loaded_by_the_first_fresnel_call_alone(tmp_path, scenario, loads_special):
+    # every transform is numpy.fft's, and fresnel imports scipy.special on its
+    # first call: a run without the square family loads no scipy module
+    code = (
+        "import sys, freepacket.cli\n"
+        "status = freepacket.cli.main(['--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, *sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    status, *loaded = _fresh_interpreter_output(code, scenario, str(tmp_path / "out"))
+    assert status == "0"
+    if loads_special:
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []
 
 
 # every inverse transform scipy.fft offers, not its shift helper
