@@ -65,6 +65,11 @@ __all__ = [
 ]
 
 
+# the relative norm^2 the quadrature's output may gain over its input before
+# propagate_quadrature takes it for images of the packet
+QUADRATURE_NORM_GAIN = 1e-6
+
+
 class Method(Enum):
     SPECTRAL_EXACT = "spectral-exact"
     QUADRATURE = "quadrature"
@@ -159,6 +164,15 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     on oscillatory integrands is controlled by grid sizing: keep
     step <= hbar / (4 * p_max_relevant) with p_max_relevant the largest of
     the packet's momentum content and m |x - x'|_max / t.
+
+    The sampled chirp's wavenumber a (j - k) counts only modulo 2 pi, so the
+    sum also holds copies ("images") of the evolved packet L = 2 pi / |a|
+    grid steps apart, a = m step^2 / hbar t; each image on the grid adds the
+    packet's norm once more.  So this raises ValueError, naming t and L,
+    where the output's discrete norm^2 exceeds the input's by more than
+    QUADRATURE_NORM_GAIN (1e-6) of it, both taken in units of the largest
+    input sample.  The check is O(N) and takes no FFT; an image whose tail
+    on the grid adds less than that tolerance still passes.
     """
     _require_position(psi0, "propagate_quadrature")
     if t == 0:
@@ -168,8 +182,29 @@ def propagate_quadrature(psi0: ComplexField, t: float, params: PhysicsParams) ->
     n2 = psi0.grid.n ** 2
     _require_finite_phase(0.5 * a * n2, "propagate_quadrature", "m (x - x')^2 / 2 hbar t", t)
     values = _direct_kernel_sum(psi0.values, a)
+    gain = _norm2_gain(psi0.values, values)
+    if gain > QUADRATURE_NORM_GAIN:
+        raise ValueError(
+            f"propagate_quadrature: the output's norm^2 exceeds the input's by a relative {gain:.3g} "
+            f"at t = {t!r}: images of the packet {2 * math.pi / abs(a):.6g} grid steps apart reach the "
+            "grid; a finer grid step moves them apart"
+        )
     out = ComplexField(values, psi0.grid)
     return PropagationResult(out, t, Method.QUADRATURE)
+
+
+def _norm2_gain(before: np.ndarray, after: np.ndarray) -> float:
+    """(|after|^2 - |before|^2) / |before|^2 in the discrete norm, 0 for a zero
+    input; both sums are taken in units of before's largest sample, so they
+    neither overflow nor vanish for fields near either end of the double range."""
+    peak = float(np.abs(before).max())
+    if peak == 0:
+        return 0.0
+    with np.errstate(under="ignore"):  # tails far below the peak add nothing
+        scaled = before / peak
+        norm2 = float(np.vdot(scaled, scaled).real)
+        np.divide(after, peak, out=scaled)
+        return (float(np.vdot(scaled, scaled).real) - norm2) / norm2
 
 
 def short_time_approx(

@@ -28,6 +28,17 @@ no i*theta temporary; a phase on the integer lattice, odd or even in k,
 takes its cos and sin over k >= 0 only (_lattice_cis: the propagator, the
 translation, the x0 correction and the chirp of both chirp sums).  The
 spectral multiply works in place, on the spectrum its caller hands over.
+
+Importing the module allocates one untouched 8 MiB block and frees it at
+once.  Under glibc's rule (mallopt(3)) that raises the dynamic mmap threshold
+to 8 MiB and the heap-trim threshold to 16 MiB, so the scratch of a
+65536-point transform and the field-sized temporaries stay in the heap
+instead of being handed back to the kernel and faulted in again by the next
+call.  This changes the allocator policy of the host process.  A process
+that sets M_MMAP_THRESHOLD or M_TRIM_THRESHOLD itself (by mallopt, or by
+MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ in its environment) keeps
+its own policy, and other C libraries see an allocation and a free, nothing
+else.
 """
 
 from __future__ import annotations
@@ -37,6 +48,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+# glibc's malloc serves a block above its dynamic mmap threshold (128 KiB at
+# start) by mmap, and freeing such a block of size S <= 32 MiB raises that
+# threshold to S and the heap-trim threshold to 2 S (mallopt(3)).  Left at
+# their start values, the heap top that a 65536-point transform frees is
+# handed back to the kernel, and the next call faults its ~2 MiB of scratch
+# in afresh: 480 minor faults and 0.99 ms per np.fft.fft, against 0 faults
+# and 0.62 ms once the heap is kept (2-core x86-64 VM, numpy 2.4, glibc
+# 2.36).  After this block a 65536-point sweep op of the benchmark faults in
+# 0 pages, not about 4,000; a 4 MiB block still left 200-400 per op, and a
+# 32 MiB one is above the rule's cap and does nothing.
+np.empty(8 << 20, np.uint8)
 
 __all__ = [
     "PhysicsParams",

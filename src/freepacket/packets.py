@@ -152,9 +152,9 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     phase -= (n + 0.5) * fam.beta(t)
     seed *= -0.5
     values = _hermite_functions(n, u, np.pi**-0.25 / math.sqrt(g) * np.exp(seed))
-    # u and u^2 lie side by side, so exp(i phase) can take their place: the
-    # peak stays at four position-sized arrays, and on 65536 points fewer
-    # fresh pages are faulted in than with the result allocated above them
+    # u and u^2 go before exp(i phase) is allocated, so orders 0 and 1
+    # (gaussian_chi is order 0) peak at four and five position-sized arrays,
+    # not six; from order 2 on the recurrence's temporaries set the peak
     del u, seed
     psi = _cis(phase)
     psi.real *= values

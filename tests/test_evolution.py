@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -488,8 +489,34 @@ def test_quadrature_is_the_full_span_sum_to_the_inputs_norm(t):
     weighted[[0, -1]] *= 0.5
     chirp = np.exp(0.5j * a * np.arange(1 - n, n) ** 2)
     expected = np.sqrt(a / (2j * np.pi)) * np.convolve(weighted, chirp, "valid")
-    out = propagate_quadrature(psi0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field.values
+    # the sum itself: at 0.5 tau images of the packet reach the grid, and
+    # propagate_quadrature refuses the output
+    out = freepacket.evolution._direct_kernel_sum(psi0.values, a)
     assert np.linalg.norm(out - expected) <= 2.0**-51 * np.linalg.norm(psi0.values)
+
+
+# The chirp's images lie L = 2 pi / |a| = 2 pi 256 t / tau grid steps apart on
+# the oracle's grid: at 0.5 and 0.25 tau (804 and 402 steps) they reach it
+# and add the packet's norm^2 two and four times more; at tau and 2.5 tau
+# (1608 and 4021 steps) they miss it.
+@pytest.mark.parametrize("scale", [1.0, 1e-300])
+@pytest.mark.parametrize("t, images", [(0.5, "804.248"), (0.25, "402.124")])
+def test_quadrature_refuses_images_of_the_packet(t, images, scale):
+    # the norms are taken in units of the largest sample, so a subnormal
+    # scale does not hide the images
+    psi0 = ComplexField(scale * oracle_gaussian().values, ORACLE_GRID)
+    message = f"at t = {t!r}: images of the packet {images} grid steps apart reach the grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        propagate_quadrature(psi0, t * ORACLE_FAM.tau, KERNEL_PARAMS)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5])
+def test_quadrature_keeps_the_norm_where_its_images_miss_the_grid(t):
+    psi0 = oracle_gaussian()
+    out = propagate_quadrature(psi0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field
+    norm2 = np.vdot(psi0.values, psi0.values).real
+    assert np.vdot(out.values, out.values).real == pytest.approx(norm2, rel=1e-12)
+    assert rel_l2(out, propagate_spectral(psi0, t * ORACLE_FAM.tau, KERNEL_PARAMS).field) < 1e-8
 
 
 def test_kernel_sums_vanish_where_the_chirp_rate_underflows():

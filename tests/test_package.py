@@ -6,6 +6,7 @@ import contextlib
 import inspect
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -104,6 +105,27 @@ def test_scipy_is_loaded_by_the_first_fresnel_call_alone(tmp_path, scenario, loa
         assert "scipy.special" in loaded
     else:
         assert loaded == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap and trim thresholds are glibc's")
+def test_65536_point_evolution_faults_in_no_fresh_pages():
+    # importing numerics raises glibc's trim threshold, so the ~2 MiB that a
+    # 65536-point transform frees stays in the heap for the next call; a
+    # fresh interpreter, since large blocks freed by earlier tests raise it too
+    code = (
+        "import resource, freepacket as fp\n"
+        "fam = fp.GaussianFamily(params=fp.PhysicsParams(), tau=1.0)\n"
+        "psi0 = fp.sample(lambda x, t: fp.hermite_gauss(fam, 3, x, t), fp.Grid.centered(64.0, 65536), 0.0)\n"
+        "def pair():\n"
+        "    fp.moments(fp.propagate_spectral(psi0, 1.0, fam.params).field, fam.params)\n"
+        "pair(); pair()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    pair()\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)"
+    )
+    (faults_per_pair,) = _fresh_interpreter_output(code)
+    assert float(faults_per_pair) <= 50
 
 
 # every inverse transform scipy.fft offers, not its shift helper
