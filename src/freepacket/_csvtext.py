@@ -30,18 +30,12 @@ so a block of rows is its words' bytes with the NULs deleted.
 
 import numpy as np
 
+from .numerics import _split
+
 _BLOCK_ROWS = 1024
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of nonzero doubles
 _WORD = np.dtype("<u8")
 _SEPARATOR_SHIFT = 40  # bits: the separator is byte 5 of word 5
-_SPLITTER = 2.0**27 + 1  # Veltkamp: halves of at most 26 bits
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's halves of a, of at most 26 significant bits each."""
-    c = a * _SPLITTER
-    high = c - (c - a)
-    return high, a - high
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

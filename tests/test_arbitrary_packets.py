@@ -11,6 +11,10 @@ spectral propagator within 1e-8 in L2 of the closed form (whose norm is 1),
 and zero violations of either bound.  Grids are sized by the benchmark's reach rule
 with c = 7 scale lengths of Gaussian tail beyond the Hermite turning point.
 
+The quadrature oracle is held to the spectral propagator on drawn packets,
+times and grids too, wherever the README's sampling rule holds and its
+image check is silent.
+
 The square has Dp = inf, so it has no spread law and its short-time bound is
 inf; it is drawn at its real instant, where its Dx and so its asymptotic
 bound exist.  A strict xfail records the one kind of draw that fails: a
@@ -22,7 +26,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freepacket import (
@@ -37,6 +41,7 @@ from freepacket import (
     galilean_boost,
     hermite_gauss,
     moments,
+    propagate_quadrature,
     propagate_spectral,
     sample,
     short_time_approx,
@@ -160,3 +165,45 @@ def test_a_packet_that_fills_the_momentum_lattice_has_finite_moments():
     psi = galilean_boost(lambda x, t: hermite_gauss(FAM, 20, x, t), 2.0, 0.0, PARAMS)
     m0 = moments(sample(psi, _reach_grid(20, 2.0, 0.0), 0.0), PARAMS)
     assert math.isfinite(m0.delta_p) and math.isfinite(m0.delta_x)
+
+
+@st.composite
+def quadrature_draws(draw):
+    """(psi(x, t), grid, t): a boosted Hermite-Gauss or derivative packet of
+    a drawn order, a time t with 0.2 tau <= |t| <= 5 tau, and a grid that
+    holds the packet at 0 and t with room to spare and whose step meets the
+    README's sampling rule for the quadrature, with points to spare."""
+    if draw(st.booleans()):
+        order = draw(st.integers(0, 8))
+        resting = lambda x, t: hermite_gauss(FAM, order, x, t)  # noqa: E731
+    else:
+        order = draw(st.integers(0, DERIVATIVE_MAX_ORDER))
+        resting = lambda x, t: derivative_packet(FAM, order, x, t)  # noqa: E731
+    p = draw(st.floats(-2.0, 2.0))
+    t = draw(st.floats(0.2, 5.0)) * draw(st.sampled_from((1.0, -1.0)))
+    width = math.sqrt(2 * order + 1) + REACH_C
+    half_width = draw(st.floats(1.0, 1.5)) * max(abs(p * s) + width * FAM.gamma(s) for s in (0.0, t))
+    # the kernel's local momentum m |x - x'| / |t| for every row x, plus the
+    # packet's own, must stay below the lattice's Nyquist momentum
+    # (Oracle._spec in bench/workloads.py)
+    kernel_p = PARAMS.mass * (half_width + width * FAM.gamma(0.0)) / abs(t)
+    p_reach = abs(p) + width * PARAMS.hbar / FAM.gamma(0.0)
+    n = 8
+    while math.pi * PARAMS.hbar * n / (2 * half_width) < kernel_p + p_reach:
+        n *= 2
+    grid = Grid.centered(half_width, n * 2 ** draw(st.integers(0, 1)))
+    return galilean_boost(resting, p, 0.0, PARAMS), grid, t
+
+
+@given(draw=quadrature_draws())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_quadrature_matches_spectral_wherever_the_sampling_rule_holds(draw):
+    psi, grid, t = draw
+    psi0 = sample(psi, grid, 0.0)
+    try:
+        by_kernel = propagate_quadrature(psi0, t, PARAMS).field.values
+    except ValueError as refusal:  # images of the packet reach the grid
+        assert "images" in str(refusal)
+        assume(False)
+    by_fft = propagate_spectral(psi0, t, PARAMS).field.values
+    assert rel_l2_values(by_kernel, by_fft, grid.step) <= 1e-8

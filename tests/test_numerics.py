@@ -29,6 +29,7 @@ from freepacket import (
     to_momentum,
 )
 
+from freepacket._fresnel import _continued_fraction
 from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _integer_lattice, _lattice_cis
 
 from conftest import rel_l2_values
@@ -211,6 +212,119 @@ def test_fresnel_matches_mpmath_to_rounding():
     c, s = fresnel(u)
     assert np.max(np.abs(c - c_ref)) <= 1e-14
     assert np.max(np.abs(s - s_ref)) <= 1e-14
+
+
+def _mpmath_fresnel(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """50-digit C(u) and S(u), rounded to doubles."""
+    with mpmath.workdps(50):
+        c = np.array([float(mpmath.fresnelc(mpmath.mpf(v))) for v in u.tolist()])
+        s = np.array([float(mpmath.fresnels(mpmath.mpf(v))) for v in u.tolist()])
+    return c, s
+
+
+def test_fresnel_matches_mpmath_to_1e_15_up_to_a_million():
+    # the phase pi u^2 / 2 of the unreduced u^2 loses its last bits as |u|
+    # grows: a fresnel that takes it so is 3e-11 off at |u| near 1e6
+    magnitudes = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 300), np.linspace(0.0, 8.0, 161)])
+    u = np.concatenate([magnitudes, -magnitudes])
+    c_ref, s_ref = _mpmath_fresnel(u)
+    c, s = fresnel(u)
+    assert np.max(np.abs(c - c_ref)) <= 1e-15
+    assert np.max(np.abs(s - s_ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("edge", [1.6, 6.0, 2.0**54], ids=["series-fraction", "fraction-asymptotic", "one-half"])
+def test_fresnel_is_continuous_across_its_region_edges(edge):
+    near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    u = np.concatenate([near, -near])
+    c_ref, s_ref = _mpmath_fresnel(u)
+    c, s = fresnel(u)
+    assert np.max(np.abs(c - c_ref)) <= 1e-15
+    assert np.max(np.abs(s - s_ref)) <= 1e-15
+
+
+def _erfc_fraction(x: float, depth: int) -> complex:
+    """x h of the erfc continued fraction cut at depth, in 40 digits."""
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(x)
+        b1 = mpmath.mpc(1, -mpmath.pi * xm * xm)
+        t = b1 + 4 * (depth - 1)
+        for k in range(depth - 1, 0, -1):
+            t = b1 + 4 * (k - 1) - (2 * k - 1) * (2 * k) / t
+        return complex(xm / t)
+
+
+def test_fresnel_continued_fraction_is_cut_where_its_docstring_says_and_deep_enough():
+    x = np.array([np.nextafter(1.6, 2.0), 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, np.nextafter(6.0, 0.0)])
+    out = np.empty(x.size, dtype=complex)
+    _continued_fraction(x, x * x, out)
+    for xi, got in zip(x.tolist(), out.tolist()):
+        depth = 5 + math.floor(120 / (xi * xi))
+        cut = _erfc_fraction(xi, depth)
+        assert abs(got - cut) <= 2e-16, xi
+        assert abs(cut - _erfc_fraction(xi, 200)) <= 2.0**-56, xi
+
+
+EXTREME_ARGUMENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e154, -1e154, 1e200, -1e200, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("state", ["raise", "default"])
+def test_fresnel_raises_no_floating_point_exception_at_the_ends_of_the_range(state):
+    # under the command line's errstate, and under the default one, whose
+    # warnings pyproject.toml's filterwarnings turns into failures
+    u = np.array(EXTREME_ARGUMENTS)
+    if state == "raise":
+        with np.errstate(all="raise", under="ignore"):
+            c, s = fresnel(u)
+    else:
+        c, s = fresnel(u)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(s))
+    top = np.abs(u) >= 1e154
+    assert np.array_equal(c[top], np.copysign(0.5, u[top]))
+    assert np.array_equal(s[top], np.copysign(0.5, u[top]))
+    # the series' leading term, signed zeros included
+    small = ~top
+    assert np.array_equal(np.signbit(c[small]), np.signbit(u[small]))
+    assert np.array_equal(c[small], u[small])
+
+
+def test_fresnel_returns_scalars_for_a_scalar_and_arrays_of_its_shape_otherwise():
+    for scalar in (0.7, np.float64(-2.5), 3, np.array(40.0)):
+        c, s = fresnel(scalar)
+        assert type(c) is np.float64 and type(s) is np.float64
+    for shape in [(0,), (5,), (2, 3), (4, 1, 2)]:
+        u = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
+        c, s = fresnel(u)
+        assert isinstance(c, np.ndarray) and c.shape == shape and c.dtype == float
+        assert isinstance(s, np.ndarray) and s.shape == shape and s.dtype == float
+        flat_c, flat_s = fresnel(u.ravel())
+        assert np.array_equal(c.ravel(), flat_c) and np.array_equal(s.ravel(), flat_s)
+    c, s = fresnel([[0.5, 1.0]])
+    assert c.shape == s.shape == (1, 2)
+
+
+def test_fresnel_does_not_depend_on_the_order_of_its_arguments():
+    # each value is its own, whatever else is in the array
+    u = np.random.default_rng(7).uniform(-30.0, 30.0, 500)
+    c, s = fresnel(u)
+    for i in (0, 123, 499):
+        ci, si = fresnel(u[i])
+        assert ci == c[i] and si == s[i]
+    order = np.argsort(-u)
+    c_sorted, s_sorted = fresnel(u[order])
+    assert np.array_equal(c_sorted, c[order]) and np.array_equal(s_sorted, s[order])
+    # the continued fraction takes its x in blocks of 1024
+    u = np.linspace(1.6, 6.0, 2500)
+    c, s = fresnel(u)
+    for part in np.array_split(np.arange(u.size), 7):
+        c_part, s_part = fresnel(u[part])
+        assert np.array_equal(c_part, c[part]) and np.array_equal(s_part, s[part])
+
+
+def test_fresnel_rejects_nan_and_negative_infinity_in_an_array():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fresnel(np.array([0.5, bad, 3.0]))
 
 
 # ------------------------------------------------------------- transforms

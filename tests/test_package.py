@@ -36,6 +36,7 @@ from freepacket import (
     spectral_derivative,
     to_momentum,
 )
+from freepacket.cli import SCENARIOS
 
 LAYERS = (evolution, numerics, observables, packets)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -90,21 +91,20 @@ def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
     assert _fresh_interpreter_output(code) == ["False"]
 
 
-@pytest.mark.parametrize("scenario, loads_special", [("fig1", False), ("fig3", True)])
-def test_scipy_is_loaded_by_the_first_fresnel_call_alone(tmp_path, scenario, loads_special):
-    # every transform is numpy.fft's, and fresnel imports scipy.special on its
-    # first call: a run without the square family loads no scipy module
+def test_every_scenario_runs_with_scipy_blocked(tmp_path):
+    # every transform is numpy.fft's and fresnel is numpy's own, so a process
+    # in which importing scipy fails runs every scenario
     code = (
-        "import sys, freepacket.cli\n"
-        "status = freepacket.cli.main(['--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(status, *sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import freepacket.cli\n"
+        "for scenario in freepacket.cli.SCENARIOS:\n"
+        "    status = freepacket.cli.main(['--scenario', scenario, '--out', sys.argv[1] + '/' + scenario])\n"
+        "    print(scenario, status)"
     )
-    status, *loaded = _fresh_interpreter_output(code, scenario, str(tmp_path / "out"))
-    assert status == "0"
-    if loads_special:
-        assert "scipy.special" in loaded
-    else:
-        assert loaded == []
+    words = _fresh_interpreter_output(code, str(tmp_path))
+    assert len(SCENARIOS) == 7
+    assert words == [word for scenario in SCENARIOS for word in (scenario, "0")]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap and trim thresholds are glibc's")
