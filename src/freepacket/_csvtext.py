@@ -30,23 +30,12 @@ so a block of rows is its words' bytes with the NULs deleted.
 
 import numpy as np
 
-from .numerics import _split
+from .numerics import _two_product
 
 _BLOCK_ROWS = 1024
 _X_MIN, _X_MAX = -324, 308  # decimal exponents of nonzero doubles
 _WORD = np.dtype("<u8")
 _SEPARATOR_SHIFT = 40  # bits: the separator is byte 5 of word 5
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p = a b rounded, and a b - p exactly (Dekker, 1971)."""
-    p = a * b
-    (a1, a2), (b1, b2) = _split(a), _split(b)
-    e = a1 * b1 - p
-    e += a1 * b2
-    e += a2 * b1
-    e += a2 * b2
-    return p, e
 
 
 def _power_table() -> np.ndarray:

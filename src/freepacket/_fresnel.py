@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .numerics import _cis, _split
+from .numerics import _cis, _require_finite, _two_product
 
 _SERIES_EDGE, _ASYMPTOTIC_EDGE, _HALF_EDGE = 1.6, 6.0, 2.0**54
 # the first term left out of a sum, and the continued fraction's distance
@@ -178,24 +178,16 @@ def _auxiliary(x: np.ndarray, x2: np.ndarray, out: np.ndarray):
 _QUARTER_TURNS = np.array([1, 1j, -1, -1, -1j])
 
 
-def _phase(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """exp(i pi x^2 / 2) for 0 <= x <= 2^54, with x2 = x^2 rounded.
+def _phase(x: np.ndarray) -> np.ndarray:
+    """exp(i pi x^2 / 2) for 0 <= x <= 2^54.
 
-    x^2 = x2 + e exactly (Dekker's product with Veltkamp's split), and
-    r = x2 - 4 rint(x2 / 4) and its distance f = r - q from the nearest
-    integer q are exact, so the phase is i^q exp(i (pi/2)(f + e)), with an
-    angle within pi/4 that loses only its own rounding whatever the size of
-    x.  On that range np.cos and np.sin took half the time they take on
-    [-pi, pi] (glibc, 8192 points).
+    x^2 = x2 + e exactly (numerics._two_product), and r = x2 - 4 rint(x2 / 4)
+    and its distance f = r - q from the nearest integer q are exact, so the
+    phase is i^q exp(i (pi/2)(f + e)), with an angle within pi/4 that loses
+    only its own rounding whatever the size of x.  On that range np.cos and
+    np.sin took half the time they take on [-pi, pi] (glibc, 8192 points).
     """
-    high, low = _split(x)
-    e = high * high
-    e -= x2
-    high *= low
-    high += high
-    e += high
-    low *= low
-    e += low
+    x2, e = _two_product(x, x)
     r = np.multiply(x2, 0.25)
     np.rint(r, out=r)
     r *= -4.0
@@ -217,8 +209,7 @@ def integrals(u):
     order = np.argsort(x, kind="stable")
     x = x[order]
     if x.size and not x[-1] < _HALF_EDGE:  # nan and inf sort last
-        if not math.isfinite(x[-1]):
-            raise ValueError("fresnel argument must be finite")
+        _require_finite(x[-1], "fresnel argument |u|")
         np.minimum(x, _HALF_EDGE, out=x)
     mid, far = np.searchsorted(x, _EDGES).tolist()
     z = np.empty(x.size, dtype=complex)  # C + i S at the sorted x
@@ -231,7 +222,7 @@ def integrals(u):
         block = slice(start, min(start + _FRACTION_BLOCK, cut))
         _continued_fraction(inner[block], square[block], outer[block])
     _auxiliary(inner[cut:], square[cut:], outer[cut:])
-    outer *= _phase(inner, square)
+    outer *= _phase(inner)
     np.subtract(0.5 + 0.5j, outer, out=outer)
     cs = np.empty_like(z)
     cs[order] = z

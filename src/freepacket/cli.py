@@ -61,7 +61,15 @@ from .evolution import (
     short_time_approx,
     short_time_error_bound,
 )
-from .numerics import Grid, PhysicsParams, to_momentum
+from .numerics import (
+    Grid,
+    PhysicsParams,
+    _require_finite,
+    _require_order,
+    _require_positive,
+    _require_power_of_two,
+    to_momentum,
+)
 from .observables import moments, spread_law_from_state, spread_prediction
 from .packets import (
     DERIVATIVE_MAX_ORDER,
@@ -211,8 +219,8 @@ SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 # Key parsers take the raw text and the values of the keys of the ScenarioConfig
-# fields above theirs; they raise ConfigError without a location, which
-# parse_config adds.
+# fields above theirs; they raise ConfigError, or the package's own ValueError
+# for a number out of its range, without a location, which parse_config adds.
 
 
 def _preset(cfg: dict) -> _Scenario:
@@ -224,9 +232,7 @@ def _number(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"must be finite, got {text!r}")
-    return value
+    return _require_finite(value)
 
 
 def _integer(text: str) -> int:
@@ -237,10 +243,7 @@ def _integer(text: str) -> int:
 
 
 def _positive(text: str, cfg: dict) -> float:
-    value = _number(text)
-    if value <= 0:
-        raise ConfigError(f"must be positive, got {value}")
-    return value
+    return _require_positive(_number(text))
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -267,17 +270,11 @@ def _order(text: str, cfg: dict) -> int:
     family = cfg["family"]
     if family not in _ORDER_LIMITS:
         raise ConfigError(f"family {family} takes no order")
-    order, limit = _integer(text), _ORDER_LIMITS[family]
-    if not 0 <= order <= limit:
-        raise ConfigError(f"order for family {family} must be in [0, {limit}]")
-    return order
+    return _require_order(_integer(text), _ORDER_LIMITS[family], f"order for family {family}")
 
 
 def _power_of_two(text: str, cfg: dict) -> int:
-    n = _integer(text)
-    if n < 8 or n & (n - 1):
-        raise ConfigError(f"not a power of two >= 8: {n}")
-    return n
+    return _require_power_of_two(_integer(text))
 
 
 def _absolute_times(natural: tuple[float, ...], cfg: dict) -> tuple[float, ...]:
@@ -289,9 +286,7 @@ def _absolute_times(natural: tuple[float, ...], cfg: dict) -> tuple[float, ...]:
             unit = float(exact)
         except OverflowError:
             raise ConfigError(f"time unit m a^2/hbar overflows for family.a = {a}") from None
-    times = tuple(v * unit for v in natural)
-    if not all(math.isfinite(v) for v in times):
-        raise ConfigError(f"times in absolute units must be finite, got {times}")
+    times = tuple(_require_finite(v * unit, "times in absolute units") for v in natural)
     if _preset(cfg).rescaled and 0.0 in times:
         raise ConfigError(f"scenario {cfg['scenario']} divides by t, so no time may be 0: {times}")
     return times
@@ -386,7 +381,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
                 cfg[key] = parse(raw[key][0], cfg)
             else:
                 cfg[key] = default(cfg) if callable(default) else default
-        except ConfigError as err:
+        except ValueError as err:
             where = raw[key][1] if key in raw else f"{key} (preset for {cfg['scenario']})"
             raise ConfigError(f"{where}: {err}") from None
     return ScenarioConfig(*cfg.values())

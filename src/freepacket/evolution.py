@@ -48,6 +48,8 @@ from .numerics import (
     PhysicsParams,
     _cis,
     _lattice_cis,
+    _require,
+    _require_finite,
     _require_position,
     _spectral_apply,
     from_momentum,
@@ -103,7 +105,9 @@ def propagate_spectral(psi0: ComplexField, t: float, params: PhysicsParams) -> P
 
 
 def _require_finite_phase(phase: float, caller: str, formula: str, t: float) -> None:
-    """Raise ValueError when a call's largest phase is not a finite double."""
+    """Raise ValueError naming t where it is nan, and naming the phase where a
+    call's largest phase is not a finite double."""
+    _require(not math.isnan(t), f"{caller}: t", "a number", t)
     if not math.isfinite(phase):
         raise ValueError(f"{caller}: the phase {formula} overflows at t = {t!r}")
 
@@ -229,6 +233,7 @@ def short_time_approx(
     if t == 0:
         out = ComplexField(psi0.values.copy(), psi0.grid)
         return PropagationResult(out, 0.0, Method.SHORT_TIME)
+    _require_finite(pbar, "short_time_approx: pbar")
     shift, n = pbar * t / params.mass, psi0.grid.n
     rate = -(psi0.grid.momentum_step(1.0) * shift)  # rate k = -p shift / hbar
     phase = 0.5 * (pbar / params.hbar) * shift  # pbar^2 t / 2 m hbar
@@ -259,10 +264,8 @@ def short_time_error_bound(delta_p: float, t: float, params: PhysicsParams) -> f
     short-time picture is inapplicable there.  Never NaN and, like
     asymptotic_error_bound, never raises for valid arguments.
     """
-    if not t >= 0:
-        raise ValueError(f"bound requires t >= 0, got {t}")
-    if not delta_p >= 0:
-        raise ValueError(f"delta_p must be nonnegative, got {delta_p}")
+    _require(t >= 0, "t", "nonnegative", t)
+    _require(delta_p >= 0, "delta_p", "nonnegative", delta_p)
     if math.isinf(delta_p):
         return math.inf
     if t == 0 or delta_p == 0:
@@ -299,6 +302,7 @@ def asymptotic_form(
     """
     if t == 0:
         raise ValueError("asymptotic_form requires t != 0")
+    _require_finite(xbar, "asymptotic_form: xbar")
     grid, n = phi0.grid, phi0.grid.n
     a = _chirp_rate(grid, t, params)
     # the pre-chirp's largest phases are at the grid's ends, in its own
@@ -333,10 +337,8 @@ def asymptotic_error_bound(delta_x: float, t: float, params: PhysicsParams) -> f
     arguments: where a power in the formula over- or underflows, the value
     comes from logarithms instead, so it falls steadily to 0 as t grows.
     """
-    if not t > 0:
-        raise ValueError(f"bound requires t > 0, got {t}")
-    if not delta_x >= 0:
-        raise ValueError(f"delta_x must be nonnegative, got {delta_x}")
+    _require(t > 0, "t", "positive", t)
+    _require(delta_x >= 0, "delta_x", "nonnegative", delta_x)
     if math.isinf(delta_x):
         return math.inf
     if delta_x == 0:

@@ -52,6 +52,7 @@ from .numerics import (
     ComplexField,
     PhysicsParams,
     _integer_lattice,
+    _require_finite,
     _require_position,
     _spectral_apply,
     _trapz,
@@ -170,9 +171,7 @@ def moments(f: ComplexField, params: PhysicsParams) -> PacketMoments:
         k_psi = _spectral_apply(k, spectrum)  # (P - <p>) psi / dp
         # Re[psi* (P - <p>) psi] / dp in real arithmetic
         overlap = re * k_psi.real + im * k_psi.imag
-        mean_r = dp * grid.step * _trapz(d * overlap, grid.step)
-        if not math.isfinite(mean_r):
-            raise ValueError(f"<R> = {mean_r} lies outside the double range")
+        mean_r = _require_finite(dp * grid.step * _trapz(d * overlap, grid.step), "<R>")
         delta_x = grid.step * math.sqrt(var_d)
 
     delta_p = math.inf if p_diverges else dp * math.sqrt(var_k)
@@ -194,14 +193,16 @@ def spread_law_from_state(m0: PacketMoments, params: PhysicsParams, t_now: float
     evaluated as ratios so that no physical quantity is squared.  A packet
     that is real at t_now has <R> = 0 there: it is at its waist.
     """
-    if not math.isfinite(m0.delta_p) or not math.isfinite(m0.delta_x):
-        raise ValueError("spread law needs finite Dx and Dp")
+    _require_finite(m0.delta_p, "m0.delta_p")
+    _require_finite(m0.delta_x, "m0.delta_x")
+    _require_finite(t_now, "t_now")
     t_min = t_now - (params.mass / m0.delta_p) * (m0.mean_r / m0.delta_p)
     return SpreadLaw(delta_min=_delta_min(m0), t_min=t_min, delta_p=m0.delta_p)
 
 
 def spread_prediction(law: SpreadLaw, params: PhysicsParams, t: float) -> float:
     """Dx(t) = sqrt(Dmin^2 + (t - t_min)^2 Dp^2 / m^2), by math.hypot."""
+    _require_finite(t, "t")
     return math.hypot(law.delta_min, (t - law.t_min) * (law.delta_p / params.mass))
 
 

@@ -40,7 +40,11 @@ from .numerics import (
     ComplexField,
     PhysicsParams,
     _cis,
+    _require,
+    _require_finite,
+    _require_order,
     _require_position,
+    _require_positive,
     fresnel,
     spectral_derivative,
 )
@@ -72,8 +76,7 @@ class GaussianFamily:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _require_positive(self.tau, "tau")
 
     def gamma(self, t: float) -> float:
         """Length scale gamma(t) = gamma0 sqrt(1 + s^2), gamma0 = sqrt(hbar tau / m), s = t / tau.
@@ -108,8 +111,7 @@ class SquareFamily:
     a: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"a must be positive and finite, got {self.a}")
+        _require_positive(self.a, "a")
 
 
 def gaussian_chi(fam: GaussianFamily, x, t: float):
@@ -142,8 +144,8 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     satisfy the free Schrodinger equation (oscillator-like ladder phases);
     chi_0 is gaussian_chi.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0 or n > HERMITE_GAUSS_MAX_ORDER:
-        raise ValueError(f"order must be an integer in [0, {HERMITE_GAUSS_MAX_ORDER}], got {n}")
+    _require_order(n, HERMITE_GAUSS_MAX_ORDER, "order")
+    _require_finite(t, "t")
     x = np.asarray(x, dtype=float)
     g = fam.gamma(t)
     u = x / g
@@ -186,8 +188,8 @@ def derivative_packet(fam: GaussianFamily, n: int, x, t: float):
     wherever gamma0 does, so z = kappa x is formed directly.
     Real at t = 0; unlike the chi_n these packets change shape as they evolve.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0 or n > DERIVATIVE_MAX_ORDER:
-        raise ValueError(f"order must be an integer in [0, {DERIVATIVE_MAX_ORDER}], got {n}")
+    _require_order(n, DERIVATIVE_MAX_ORDER, "order")
+    _require_finite(t, "t")
     x = np.asarray(x, dtype=float)
     kappa, g0 = fam.kappa(t), fam.gamma(0.0)
     # c_n kappa^(n+1) sqrt(2^n n!) from logarithms, with c_n fixed at t = 0 by
@@ -209,8 +211,7 @@ def derivative_packet_asymptote(fam: GaussianFamily, x, t: float):
     2 (9 pi)^(-1/4) (gamma0 s)^(-1/2) v^2 exp(-v^2 / 2) with v = u0 / s.
     Vanishes at x = 0: the central hump of the packet dies out at large t.
     """
-    if not t > 0:
-        raise ValueError(f"asymptote requires t > 0, got {t}")
+    _require(t > 0, "t", "positive", t)
     x = np.asarray(x, dtype=float)
     scale = fam.gamma(0.0) * (t / fam.tau)
     v2 = np.square(x / scale)
@@ -249,6 +250,7 @@ def square_exact(fam: SquareFamily, x, t: float):
     is formed.  Validated against direct quadrature of the propagator
     integral in the test suite.
     """
+    _require(not math.isnan(t), "t", "a number", t)
     if t == 0:
         raise ValueError("square_exact is for t != 0; use square_initial at t = 0")
     if t < 0:
@@ -274,8 +276,11 @@ def galilean_boost(
     at t = t0 this is exp(i p x/hbar) xi(x, t0).  The boosted packet keeps
     the spread history of xi while <p> shifts to p.
     """
+    _require_finite(p, "p")
+    _require_finite(t0, "t0")
 
     def boosted(x, t: float):
+        _require_finite(t, "t")
         x = np.asarray(x, dtype=float)
         dt = t - t0
         phase = _cis((p / params.hbar) * (x - (p / params.mass) * dt / 2))

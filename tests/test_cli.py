@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 
 import freepacket._csvtext
 import freepacket.cli
-from freepacket import PhysicsParams, asymptotic_error_bound, moments, sample
+from freepacket import (
+    GaussianFamily,
+    Grid,
+    PhysicsParams,
+    SquareFamily,
+    asymptotic_error_bound,
+    derivative_packet,
+    hermite_gauss,
+    moments,
+    sample,
+)
 from freepacket.cli import (
     _KNOWN_KEYS,
     EXIT_CONFIG,
@@ -93,6 +103,9 @@ def test_square_time_unit_past_m_a_squared_overflow():
 def test_grid_n_must_be_power_of_two():
     with pytest.raises(ConfigError, match="power of two"):
         parse_config("grid.n = 1000")
+    # the package's own check, with the location of the flag
+    with pytest.raises(ConfigError, match=r"^flag grid.n: must be a power of two >= 8, got 12$"):
+        parse_config("", overrides={"grid.n": "12"})
 
 
 def test_unknown_key_reports_line_number():
@@ -198,6 +211,54 @@ def test_bad_number_reports_field():
 def test_positivity_errors_carry_their_location(key):
     with pytest.raises(ConfigError, match=f"^line 2: {key}: must be positive"):
         parse_config(f"scenario = fig1\n{key} = 0")
+
+
+# the config text of the edges of the doubles, and of ordinary values
+EDGE_TEXTS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e308", "inf", "-inf", "nan"]
+EDGE_TEXTS += ["1", "-1", "2.5", "8", "12", "16", "17", "64", "65", "4096"]
+
+
+def _as_number(text: str):
+    """What a library caller passes for the text: an int where it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:  # ConfigError is one
+        return False
+    return True
+
+
+# each config key, after the lines it needs, and the package call that takes
+# its value
+PACKAGE_FAMILY = GaussianFamily(PhysicsParams())
+RANGE_PARITY = {
+    "physics.hbar": ("physics.hbar", lambda text: PhysicsParams(hbar=float(text))),
+    "physics.mass": ("physics.mass", lambda text: PhysicsParams(mass=float(text))),
+    "family.tau": ("family.tau", lambda text: GaussianFamily(PhysicsParams(), tau=float(text))),
+    "family.a": ("family.a", lambda text: SquareFamily(PhysicsParams(), a=float(text))),
+    "grid.n": ("grid.n", lambda text: Grid(x0=-1.0, step=0.25, n=_as_number(text))),
+    "family.n-hermite-gauss": (
+        "family = hermite-gauss\nfamily.n",
+        lambda text: hermite_gauss(PACKAGE_FAMILY, _as_number(text), 0.0, 0.0),
+    ),
+    "family.n-derivative": (
+        "family = derivative\nfamily.n",
+        lambda text: derivative_packet(PACKAGE_FAMILY, _as_number(text), 0.0, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("key, package", RANGE_PARITY.values(), ids=RANGE_PARITY.keys())
+def test_the_config_accepts_a_value_exactly_where_the_package_does(key, package):
+    accepted = [_accepts(lambda: package(text)) for text in EDGE_TEXTS]
+    assert [_accepts(lambda: parse_config(f"{key} = {text}")) for text in EDGE_TEXTS] == accepted
+    assert True in accepted and False in accepted
 
 
 def test_formats_validation():

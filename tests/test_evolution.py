@@ -590,6 +590,7 @@ def test_an_overflowing_phase_names_itself_and_t(call, t, message):
     [
         # the translation's phase dk shift k overflows at k = n/2
         (1e306, PhysicsParams(hbar=1.0, mass=1.0), "p pbar t / m hbar"),
+        # a nan t is named as such before any phase is formed
         (math.nan, PhysicsParams(hbar=1.0, mass=1.0), "p pbar t / m hbar"),
         # the translation is hbar-free; only the global phase overflows
         (1e10, PhysicsParams(hbar=1e-300, mass=1.0), "pbar^2 t / 2 m hbar"),
@@ -600,7 +601,8 @@ def test_an_overflowing_short_time_phase_names_itself_and_t(t, params, formula):
     psi0 = ComplexField(np.exp(-0.5 * grid.points**2) / math.pi**0.25, grid)
     with np.errstate(all="raise"), pytest.raises(ValueError) as raised:
         short_time_approx(psi0, t, params, pbar=5.0)
-    assert str(raised.value) == f"short_time_approx: the phase {formula} overflows at t = {t!r}"
+    named = "t must be a number, got nan" if math.isnan(t) else f"the phase {formula} overflows at t = {t!r}"
+    assert str(raised.value) == f"short_time_approx: {named}"
 
 
 def test_an_overflowing_pre_chirp_of_an_off_grid_mean_is_named():

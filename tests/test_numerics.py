@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -29,8 +30,9 @@ from freepacket import (
     to_momentum,
 )
 
+import freepacket._csvtext as csvtext
 from freepacket._fresnel import _continued_fraction
-from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _integer_lattice, _lattice_cis
+from freepacket.numerics import HERMITE_MAX_ORDER, _cis, _integer_lattice, _lattice_cis, _two_product
 
 from conftest import rel_l2_values
 
@@ -129,6 +131,45 @@ def test_lattice_cis_is_cis_over_the_whole_lattice_bitwise(n, rate):
     k = np.fft.fftfreq(n, 1 / n)
     assert _lattice_cis(rate, n, 1).tobytes() == _cis(rate * k).tobytes()
     assert _lattice_cis(rate, n, 2).tobytes() == _cis(rate * (k * k)).tobytes()
+
+
+# ---------------------------------------------------------- exact product
+
+
+def _random_pairs():
+    # signed doubles of random 53-bit mantissas and exponents within 2^+-450,
+    # so no product, partial product or error term leaves the normal range
+    rng = np.random.default_rng(20261020)
+    signs, mantissas = rng.choice([-1.0, 1.0], (2, 3000)), rng.uniform(1, 2, (2, 3000))
+    a, b = signs * np.ldexp(mantissas, rng.integers(-450, 450, (2, 3000)))
+    return a, b
+
+
+def _squares_of_the_fresnel_phase():
+    # x^2 for the x that take the phase exp(i pi x^2 / 2): 1.6 <= x <= 2^54
+    x = np.concatenate(([1.6, 2.0**54, np.nextafter(2.0**54, 0)], np.geomspace(1.6, 2.0**54, 3000)))
+    return x, x
+
+
+def _csv_power_table_rows():
+    # every row of the CSV renderer's power table with values of its decade,
+    # scaled as _scaled scales them (by 2^192 below 1e-203, 2^-192 above 1e192)
+    decades = range(csvtext._X_MIN, csvtext._X_MAX + 1)
+    mantissas = ("1", "1.7", "3.141592653589793", "9.87654321")
+    v = np.array([float(f"{m}e{x}") for x in decades for m in mantissas])
+    v = v[np.isfinite(v) & (v != 0)]
+    rows = np.floor(np.log10(v)).astype(int) - csvtext._X_MIN
+    assert set(rows.tolist()) == set(range(csvtext._HI.size))
+    return v * csvtext._SCALE[rows], csvtext._HI[rows]
+
+
+@pytest.mark.parametrize("inputs", [_random_pairs, _squares_of_the_fresnel_phase, _csv_power_table_rows])
+def test_two_product_is_exact(inputs):
+    a, b = inputs()
+    p, e = _two_product(a, b)
+    assert np.array_equal(p, a * b)
+    for ai, bi, pi, ei in zip(a.tolist(), b.tolist(), p.tolist(), e.tolist()):
+        assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi), (ai, bi)
 
 
 # ---------------------------------------------------------------- fresnel

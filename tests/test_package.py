@@ -5,6 +5,7 @@ import ast
 import contextlib
 import inspect
 import io
+import math
 import os
 import platform
 import re
@@ -22,18 +23,26 @@ from freepacket import (
     GaussianFamily,
     Grid,
     PhysicsParams,
+    SquareFamily,
     asymptotic_form,
+    derivative_packet,
     evolution,
     from_momentum,
+    galilean_boost,
+    gaussian_chi,
     hermite_gauss,
     moments,
     numerics,
     observables,
     packets,
+    propagate_quadrature,
     propagate_spectral,
     sample,
     short_time_approx,
     spectral_derivative,
+    spread_law_from_state,
+    spread_prediction,
+    square_exact,
     to_momentum,
 )
 from freepacket.cli import SCENARIOS
@@ -183,3 +192,90 @@ def test_each_spectral_caller_takes_its_transforms(monkeypatch, call, expected):
     calls = count_transforms(monkeypatch)
     call(f, phi)
     assert calls == expected
+
+
+# ------------------------------------------- non-finite scalar arguments
+
+SQUARE = SquareFamily(params=PARAMS, a=1.0)
+X = Grid.centered(8.0, 256).points
+FIELD = sample(lambda x, t: hermite_gauss(FAM, 2, x, t), Grid.centered(8.0, 256), 0.3)
+PHI = to_momentum(FIELD, PARAMS)
+LAW = spread_law_from_state(moments(FIELD, PARAMS), PARAMS, 0.3)
+
+
+def _chi(x, t):
+    return gaussian_chi(FAM, x, t)
+
+
+def _square(x, t):
+    return square_exact(SQUARE, x, t)
+
+
+# each call with the name of the scalar it takes as v, and the values of v it
+# must refuse by a ValueError that names that scalar: a nan or infinite one
+# once gave all-NaN arrays, NaN results, numpy warnings or a message that
+# blamed another argument.  Where an infinite t has a finite limit (the
+# square, the quadrature and the asymptotic form are 0 there) only nan is
+# refused.
+NONFINITE = (math.nan, math.inf, -math.inf)
+NONFINITE_SCALARS = {
+    "hermite_gauss": ("t", NONFINITE, lambda v: hermite_gauss(FAM, 3, X, v)),
+    "gaussian_chi": ("t", NONFINITE, lambda v: gaussian_chi(FAM, X, v)),
+    "derivative_packet": ("t", NONFINITE, lambda v: derivative_packet(FAM, 2, X, v)),
+    "galilean_boost-p": ("p", NONFINITE, lambda v: galilean_boost(_chi, v, 0.0, PARAMS)),
+    "galilean_boost-t0": ("t0", NONFINITE, lambda v: galilean_boost(_chi, 1.5, v, PARAMS)),
+    "galilean_boost-t": ("t", NONFINITE, lambda v: galilean_boost(_square, 1.5, 0.0, PARAMS)(X, v)),
+    "spread_prediction": ("t", NONFINITE, lambda v: spread_prediction(LAW, PARAMS, v)),
+    "spread_law_from_state": (
+        "t_now",
+        NONFINITE,
+        lambda v: spread_law_from_state(moments(FIELD, PARAMS), PARAMS, v),
+    ),
+    "propagate_spectral": (
+        "propagate_spectral: t",
+        (math.nan,),
+        lambda v: propagate_spectral(FIELD, v, PARAMS),
+    ),
+    "propagate_quadrature": (
+        "propagate_quadrature: t",
+        (math.nan,),
+        lambda v: propagate_quadrature(FIELD, v, PARAMS),
+    ),
+    "short_time_approx-t": (
+        "short_time_approx: t",
+        (math.nan,),
+        lambda v: short_time_approx(FIELD, v, PARAMS, 1.5),
+    ),
+    "short_time_approx-pbar": (
+        "short_time_approx: pbar",
+        NONFINITE,
+        lambda v: short_time_approx(FIELD, 0.5, PARAMS, v),
+    ),
+    "asymptotic_form-t": ("asymptotic_form: t", (math.nan,), lambda v: asymptotic_form(PHI, 0.0, v, PARAMS)),
+    "asymptotic_form-xbar": (
+        "asymptotic_form: xbar",
+        NONFINITE,
+        lambda v: asymptotic_form(PHI, v, 40.0, PARAMS),
+    ),
+    "square_exact": ("t", (math.nan,), lambda v: square_exact(SQUARE, X, v)),
+}
+
+
+@pytest.mark.parametrize("name, values, call", NONFINITE_SCALARS.values(), ids=NONFINITE_SCALARS.keys())
+def test_a_nonfinite_scalar_argument_is_refused_by_name(name, values, call):
+    for v in values:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {v}$"):
+            call(v)
+
+
+INFINITE_TIME_LIMITS = {
+    "square_exact": lambda t: square_exact(SQUARE, X, t),
+    "propagate_quadrature": lambda t: propagate_quadrature(FIELD, t, PARAMS).field.values,
+    "asymptotic_form": lambda t: asymptotic_form(PHI, 0.0, t, PARAMS).field.values,
+}
+
+
+@pytest.mark.parametrize("call", INFINITE_TIME_LIMITS.values(), ids=INFINITE_TIME_LIMITS.keys())
+def test_an_infinite_time_keeps_its_zero_limit(call):
+    for t in (math.inf, -math.inf):
+        assert not call(t).any()
