@@ -16,10 +16,15 @@ Scenarios
     custom      any family, any time list
 
 Config files are line-oriented `key = value` with dotted keys and `#`
-comments; command-line flags override file values.  Times in config files are
+comments; command-line flags override file values.  Each value, a flag's too,
+is checked only by its key's parser, so a bad one is a config error (exit 1)
+that names `line N: key` or `flag key`; `grid.half_width` is accepted exactly
+where Grid.centered takes it on `grid.n` points.  Times in config files are
 in natural units: tau for the Gaussian families, m a^2/hbar for the square.
 The rescaled scenarios (fig2, fig4) divide by t, so a time of 0 is a config
-error.  A run warns when the grid is narrower than 10 initial spreads or its
+error.  A run builds its packet and its grid once (_packet: Grid.centered_offset
+for the square, Grid.centered otherwise) and reads every step off that grid.
+It warns when the grid is narrower than 10 initial spreads or its
 step wider than one; the initial spread behind both warnings and the
 asymptotic bound is exact for every family; for derivative packets it is
 Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
@@ -99,7 +104,7 @@ class ConfigError(ValueError):
 class _Packet(NamedTuple):
     evaluate: Callable  # psi(x, t); looks its closed form up in this module's globals when called
     spread: float  # the exact initial Dx
-    grid: Callable = Grid.centered  # Grid.centered_offset for the square
+    grid: Grid  # the run's grid: Grid.centered_offset for the square, Grid.centered otherwise
     finite_dp: bool = True  # False only for the square, whose Dp is infinite
 
 
@@ -107,7 +112,7 @@ def _packet(cfg: ScenarioConfig) -> _Packet:
     p, n = cfg.params, cfg.family_order
     if cfg.family == "square":
         fam = SquareFamily(params=p, a=cfg.a)
-        step = 2 * cfg.half_width / cfg.grid_n
+        grid = Grid.centered_offset(cfg.half_width, cfg.grid_n)
 
         def evaluate(x, t):
             if t != 0:
@@ -115,29 +120,31 @@ def _packet(cfg: ScenarioConfig) -> _Packet:
             # each t = 0 sample is the height times the root of the fraction
             # of its cell inside |x| < a/2, so the sampled norm is 1 wherever
             # the edges fall
-            covered = np.clip((cfg.a / 2 - np.abs(x)) / step + 0.5, 0.0, 1.0)
+            covered = np.clip((cfg.a / 2 - np.abs(x)) / grid.step + 0.5, 0.0, 1.0)
             return np.sqrt(covered) / math.sqrt(cfg.a)
 
-        return _Packet(evaluate, cfg.a / math.sqrt(12.0), Grid.centered_offset, False)
+        return _Packet(evaluate, cfg.a / math.sqrt(12.0), grid, False)
     fam = GaussianFamily(params=p, tau=cfg.tau)
+    grid = Grid.centered(cfg.half_width, cfg.grid_n)
     gamma0 = fam.gamma(0.0)
     if cfg.family == "derivative":
         spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
-        return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread)
+        return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread, grid)
     n = n or 0  # the gaussian is Hermite-Gauss order 0
-    return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5))
+    return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5), grid)
 
 
-# A summary kind takes (cfg, grid, packet) and returns the summary header
-# and a function of t that gives the slice's field and summary row.
+# A summary kind takes (cfg, packet) and returns the summary header and a
+# function of t that gives the slice's field, sampled on packet.grid, and its
+# summary row.
 
 
-def _closed_form(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
+def _closed_form(cfg: ScenarioConfig, packet: _Packet):
     params = cfg.params
 
     def slice_at(t):
         # ComplexField rejects non-finite samples before any reach a CSV
-        field = sample(packet.evaluate, grid, t)
+        field = sample(packet.evaluate, packet.grid, t)
         if not packet.finite_dp and t != 0:
             # Dp is infinite for the square packet and Dx exists only at the
             # discontinuity instant; report the honest non-values.
@@ -154,9 +161,9 @@ def _closed_form(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
     return header, slice_at
 
 
-def _spread_law(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
+def _spread_law(cfg: ScenarioConfig, packet: _Packet):
     params = cfg.params
-    psi0 = sample(packet.evaluate, grid, 0.0)
+    psi0 = sample(packet.evaluate, packet.grid, 0.0)
     law = spread_law_from_state(moments(psi0, params), params, 0.0)
 
     def slice_at(t):
@@ -169,9 +176,9 @@ def _spread_law(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
     return ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"], slice_at
 
 
-def _bounds(cfg: ScenarioConfig, grid: Grid, packet: _Packet):
+def _bounds(cfg: ScenarioConfig, packet: _Packet):
     params = cfg.params
-    psi0 = sample(packet.evaluate, grid, 0.0)
+    psi0 = sample(packet.evaluate, packet.grid, 0.0)
     m0 = moments(psi0, params)
     phi0 = to_momentum(psi0, params)
 
@@ -244,6 +251,12 @@ def _integer(text: str) -> int:
 
 def _positive(text: str, cfg: dict) -> float:
     return _require_positive(_number(text))
+
+
+def _half_width(text: str, cfg: dict) -> float:
+    # the value itself where Grid.centered builds a grid.n-point grid of it,
+    # whose x0 is -half_width
+    return -Grid.centered(_positive(text, cfg), cfg["grid.n"]).x0
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -332,7 +345,7 @@ class ScenarioConfig:
     tau: float = _key("family.tau", _positive, 1.0)
     a: float = _key("family.a", _positive, 1.0)
     grid_n: int = _key("grid.n", _power_of_two, 4096)
-    half_width: float = _key("grid.half_width", _positive, lambda cfg: _preset(cfg).half_width)
+    half_width: float = _key("grid.half_width", _half_width, lambda cfg: _preset(cfg).half_width)
     times: tuple[float, ...] = _key(  # absolute units
         "times", _times, lambda cfg: _absolute_times(_preset(cfg).times, cfg)
     )
@@ -381,7 +394,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Scenario
                 cfg[key] = parse(raw[key][0], cfg)
             else:
                 cfg[key] = default(cfg) if callable(default) else default
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:  # OverflowError: a grid.n beyond the doubles
             where = raw[key][1] if key in raw else f"{key} (preset for {cfg['scenario']})"
             raise ConfigError(f"{where}: {err}") from None
     return ScenarioConfig(*cfg.values())
@@ -424,15 +437,14 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
         )
 
 
-def _grid_warnings(cfg: ScenarioConfig) -> list[str]:
+def _grid_warnings(cfg: ScenarioConfig, packet: _Packet) -> list[str]:
     """The grid must hold the packet many spreads wide and resolve it."""
-    warnings, spread = [], _packet(cfg).spread
+    warnings, spread, step = [], packet.spread, packet.grid.step
     if cfg.half_width < 10.0 * spread:
         warnings.append(
             f"grid.half_width = {cfg.half_width} is below 10 x initial spread "
             f"({10.0 * spread:.3g}); moments may be unreliable"
         )
-    step = 2 * cfg.half_width / cfg.grid_n
     if step > spread:
         # the smallest grid.n and the largest grid.half_width with step <= spread
         k = math.ceil(1 + math.log2(cfg.half_width) - math.log2(spread)) if spread else math.inf
@@ -452,19 +464,18 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     lets numerical errors propagate, floating-point ones as FloatingPointError
     (the command-line wrapper maps those to exit code 2).
     """
-    warnings = _grid_warnings(cfg)
+    packet = _packet(cfg)
+    warnings = _grid_warnings(cfg, packet)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     if warnings and cfg.strict:
         print("strict mode: warnings are fatal", file=sys.stderr)
         return EXIT_STRICT
 
-    packet = _packet(cfg)
-    grid = packet.grid(cfg.half_width, cfg.grid_n)
-    header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, grid, packet)
+    header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, packet)
     # every slice's table and row are computed before any file is written, so a
     # failed run writes nothing
-    x = grid.points
+    x = packet.grid.points
     tables, rows = [], []
     for t in cfg.times:
         field, row = slice_at(t)
@@ -515,7 +526,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
     # every flag but --config stores under the config key it overrides
-    parser.add_argument("--scenario", choices=SCENARIOS, default=None, help="override scenario")
+    parser.add_argument("--scenario", help=f"override scenario: {', '.join(SCENARIOS)}")
     parser.add_argument("--out", dest="output.dir", metavar="OUT", help="override output directory")
     parser.add_argument(
         "--strict", action="store_const", const="true", help="escalate warnings to exit code 3"
@@ -530,7 +541,7 @@ def main(argv=None) -> int:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
 
-    overrides = {key: value for key, value in vars(args).items() if key in _KNOWN_KEYS and value}
+    overrides = {k: v for k, v in vars(args).items() if k in _KNOWN_KEYS and v is not None}
     try:
         cfg = parse_config(text, overrides)
     except ConfigError as err:

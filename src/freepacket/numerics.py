@@ -106,6 +106,9 @@ class Grid:
 
     n must be a power of two (radix-2 FFT) and at least 8.  The conjugate
     momentum lattice is centered: p_k = 2 pi hbar (k - n/2) / (n step).
+    The transforms' origin phase needs x0 / step finite (so x0 too), and the
+    momentum lattice 2 pi / (n step) finite and nonzero, so a grid whose
+    ratios leave the doubles is refused when it is built.
     """
 
     x0: float
@@ -113,24 +116,29 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        _require_finite(self.x0, "grid origin")
         _require_positive(self.step, "grid step")
         _require_power_of_two(self.n, "grid size")
+        _require_finite(self.x0 / self.step, "grid x0 / step")
+        _require_positive(2.0 * np.pi / (self.n * self.step), "grid 2 pi / (n step)")
 
     @classmethod
     def centered(cls, half_width: float, n: int) -> "Grid":
-        """Grid covering [-half_width, half_width) with x = 0 on a sample."""
-        step = 2.0 * half_width / n
-        return cls(x0=-half_width, step=step, n=n)
+        """Grid covering [-half_width, half_width) with x = 0 on a sample.
+
+        half_width must lie in (0, 2^1023), where 2 half_width is a finite
+        double; the constructor then checks the step 2 half_width / n.
+        """
+        _require(0 < half_width < 2.0**1023, "half_width", "in (0, 2^1023)", half_width)
+        return cls(x0=-half_width, step=2.0 * half_width / n, n=n)
 
     @classmethod
     def centered_offset(cls, half_width: float, n: int) -> "Grid":
-        """Like centered() but shifted by step/2 so no sample sits at 0.
+        """centered() moved by half a step, so no sample sits at 0.
 
         Useful for packets with jumps one wants to straddle between samples.
         """
-        step = 2.0 * half_width / n
-        return cls(x0=-half_width + step / 2, step=step, n=n)
+        grid = cls.centered(half_width, n)
+        return cls(x0=grid.x0 + grid.step / 2, step=grid.step, n=n)
 
     @property
     def points(self) -> np.ndarray:

@@ -43,6 +43,11 @@ from freepacket.cli import (
 )
 
 
+def _warnings_of(cfg):
+    """The grid warnings of a run of cfg, on the packet and grid it builds."""
+    return _grid_warnings(cfg, _packet(cfg))
+
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
@@ -243,6 +248,7 @@ RANGE_PARITY = {
     "family.tau": ("family.tau", lambda text: GaussianFamily(PhysicsParams(), tau=float(text))),
     "family.a": ("family.a", lambda text: SquareFamily(PhysicsParams(), a=float(text))),
     "grid.n": ("grid.n", lambda text: Grid(x0=-1.0, step=0.25, n=_as_number(text))),
+    "grid.half_width": ("grid.half_width", lambda text: Grid.centered(float(text), 4096)),
     "family.n-hermite-gauss": (
         "family = hermite-gauss\nfamily.n",
         lambda text: hermite_gauss(PACKAGE_FAMILY, _as_number(text), 0.0, 0.0),
@@ -527,11 +533,11 @@ def test_a_step_wider_than_the_packet_is_warned_and_strict_stops(tmp_path, capsy
 @pytest.mark.parametrize("config", _UNRESOLVED.values(), ids=list(_UNRESOLVED))
 def test_the_grid_named_by_the_step_warning_clears_it(config):
     cfg = parse_config(config)
-    (warning,) = _grid_warnings(cfg)
+    (warning,) = _warnings_of(cfg)
     k, half_width = re.search(r"grid\.n >= 2\^(\d+) or grid\.half_width <= (\S+)$", warning).groups()
-    assert not _grid_warnings(replace(cfg, grid_n=2 ** int(k)))
-    assert _grid_warnings(replace(cfg, grid_n=2 ** (int(k) - 1)))
-    assert not _grid_warnings(replace(cfg, half_width=float(half_width)))
+    assert not _warnings_of(replace(cfg, grid_n=2 ** int(k)))
+    assert _warnings_of(replace(cfg, grid_n=2 ** (int(k) - 1)))
+    assert not _warnings_of(replace(cfg, half_width=float(half_width)))
 
 
 @pytest.mark.parametrize(
@@ -547,7 +553,7 @@ def test_the_grid_named_by_the_step_warning_clears_it(config):
     ],
 )
 def test_grid_checks_are_silent_where_the_grid_resolves_the_packet(config):
-    assert _grid_warnings(parse_config(config)) == []
+    assert _warnings_of(parse_config(config)) == []
 
 
 # heavy packets on grids that resolve them: the momentum lattice reaches 1e100
@@ -670,7 +676,7 @@ _FAMILY_CONFIGS = [
 def test_packet_facts_match_the_sampled_packet(config):
     cfg = parse_config(config)
     packet = _packet(cfg)
-    m = moments(sample(packet.evaluate, packet.grid(cfg.half_width, cfg.grid_n), 0.0), cfg.params)
+    m = moments(sample(packet.evaluate, packet.grid, 0.0), cfg.params)
     assert packet.finite_dp == math.isfinite(m.delta_p)
     assert packet.finite_dp == (cfg.family != "square")
     if packet.finite_dp:
@@ -791,14 +797,47 @@ def test_main_overflowing_phase_names_it_and_writes_nothing(tmp_path, capsys, ti
     assert not (tmp_path / "out").exists()
 
 
-def test_main_nonfinite_grid_step_exits_two(tmp_path, capsys):
-    # 2 * 1e308 / n overflows to an infinite grid step, which Grid rejects
-    # before any slice is written
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"grid.half_width = 1e308\noutput.dir = {tmp_path / 'out'}\n")
-    assert main(["--config", str(cfg_path)]) == EXIT_RUNTIME
-    assert "grid step must be positive and finite" in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*.csv"))
+def test_main_half_width_without_a_grid_is_a_config_error(tmp_path, capsys):
+    # Grid.centered refuses 1e308, where 2 half_width overflows, and 5e-324, whose
+    # step 2 * 5e-324 / n underflows to 0, so neither run starts
+    refused = {
+        "1e308": "half_width must be in (0, 2^1023), got 1e+308",
+        "5e-324": "grid step must be positive and finite, got 0.0",
+    }
+    for half_width, message in refused.items():
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"grid.half_width = {half_width}\noutput.dir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: line 1: grid.half_width: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_size_beyond_the_doubles_with_a_half_width_is_a_config_error():
+    # 2 half_width / n cannot convert n to a double
+    with pytest.raises(ConfigError, match="^line 2: grid.half_width: int too large"):
+        parse_config(f"grid.n = {2**1100}\ngrid.half_width = 1")
+
+
+@pytest.mark.parametrize("scenario", ["bogus", "", "FIG1"])
+def test_main_bad_scenario_flag_is_a_config_error(tmp_path, capsys, scenario):
+    # the scenario key's parser is the flag's only check
+    assert main(["--scenario", scenario, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: flag scenario: must be one of {', '.join(SCENARIOS)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_builds_its_packet_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting(cfg):
+        built.append(cfg)
+        return _packet(cfg)
+
+    monkeypatch.setattr(freepacket.cli, "_packet", counting)
+    for scenario in SCENARIOS:
+        cfg = parse_config(f"scenario = {scenario}\ngrid.n = 1024\noutput.dir = {tmp_path / scenario}")
+        assert run_scenario(cfg) == EXIT_OK
+    assert len(built) == len(SCENARIOS)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -627,6 +628,33 @@ def test_params_reject_nonfinite(hbar, mass):
 def test_grid_rejects_nonfinite(x0, step):
     with pytest.raises(ValueError):
         Grid(x0=x0, step=step, n=8)
+
+
+@pytest.mark.parametrize(
+    "x0, step, name",
+    [
+        # x0 / step overflows, and the transforms' origin phase with it
+        (-1e300, 1e-300, "grid x0 / step"),
+        # the momentum step 2 pi / (n step) underflows to 0
+        (0.0, 1e308, "grid 2 pi / (n step)"),
+        # and overflows to inf
+        (0.0, 5e-324, "grid 2 pi / (n step)"),
+    ],
+)
+def test_grid_refuses_ratios_outside_the_doubles(x0, step, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        Grid(x0=x0, step=step, n=8)
+
+
+@pytest.mark.parametrize("build", [Grid.centered, Grid.centered_offset])
+@pytest.mark.parametrize("half_width", [0.0, -1.0, 2.0**1023, 1e308])
+def test_centered_grids_name_the_half_width(build, half_width):
+    # 2 half_width overflows from 2^1023 on
+    message = f"half_width must be in (0, 2^1023), got {half_width}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(half_width, 8)
+    largest = math.nextafter(2.0**1023, 0.0)
+    assert build(largest, 8).step == 2 * largest / 8
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0)])

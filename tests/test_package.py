@@ -258,6 +258,8 @@ NONFINITE_SCALARS = {
         lambda v: asymptotic_form(PHI, v, 40.0, PARAMS),
     ),
     "square_exact": ("t", (math.nan,), lambda v: square_exact(SQUARE, X, v)),
+    "Grid.centered": ("half_width", NONFINITE, lambda v: Grid.centered(v, 256)),
+    "Grid.centered_offset": ("half_width", NONFINITE, lambda v: Grid.centered_offset(v, 256)),
 }
 
 
