@@ -18,9 +18,10 @@ Scenarios
 Config files are line-oriented `key = value` with dotted keys and `#`
 comments; command-line flags override file values.  Each value, a flag's too,
 is checked only by its key's parser, so a bad one is a config error (exit 1)
-that names `line N: key` or `flag key`; `grid.half_width` is accepted exactly
-where Grid.centered takes it on `grid.n` points.  Times in config files are
-in natural units: tau for the Gaussian families, m a^2/hbar for the square.
+that names `line N: key` or `flag key`; `grid.half_width`, written or preset,
+is accepted exactly where Grid.centered takes it on `grid.n` points.  Times in
+config files are in natural units: tau for the Gaussian families, m a^2/hbar
+for the square.
 The rescaled scenarios (fig2, fig4) divide by t, so a time of 0 is a config
 error.  A run builds its packet and its grid once (_packet: Grid.centered_offset
 for the square, Grid.centered otherwise) and reads every step off that grid.
@@ -254,9 +255,13 @@ def _positive(text: str, cfg: dict) -> float:
 
 
 def _half_width(text: str, cfg: dict) -> float:
+    return _grid_half_width(_positive(text, cfg), cfg)
+
+
+def _grid_half_width(half_width: float, cfg: dict) -> float:
     # the value itself where Grid.centered builds a grid.n-point grid of it,
-    # whose x0 is -half_width
-    return -Grid.centered(_positive(text, cfg), cfg["grid.n"]).x0
+    # whose x0 is -half_width; a preset half-width is checked the same way
+    return -Grid.centered(half_width, cfg["grid.n"]).x0
 
 
 def _one_of(choices: tuple[str, ...]):
@@ -345,7 +350,9 @@ class ScenarioConfig:
     tau: float = _key("family.tau", _positive, 1.0)
     a: float = _key("family.a", _positive, 1.0)
     grid_n: int = _key("grid.n", _power_of_two, 4096)
-    half_width: float = _key("grid.half_width", _half_width, lambda cfg: _preset(cfg).half_width)
+    half_width: float = _key(
+        "grid.half_width", _half_width, lambda cfg: _grid_half_width(_preset(cfg).half_width, cfg)
+    )
     times: tuple[float, ...] = _key(  # absolute units
         "times", _times, lambda cfg: _absolute_times(_preset(cfg).times, cfg)
     )

@@ -228,11 +228,15 @@ def square_momentum(fam: SquareFamily, p):
     """Momentum wave function of the square packet: sqrt(a/2 pi hbar) sinc(a p / 2 hbar).
 
     With c = a / hbar / (2 pi) this is sqrt(c) np.sinc(c p), so no product
-    of hbar is formed.
+    of hbar is formed.  At p = +-inf it is the sinc's limit, 0; a nan p is
+    refused.
     """
     p = np.asarray(p, dtype=float)
+    _require(not np.isnan(p).any(), "p", "a number", math.nan)
     c = fam.a / fam.params.hbar / (2 * np.pi)
-    return (math.sqrt(c) * np.sinc(c * p)).astype(complex)
+    # np.sinc takes sin(pi c p), which is nan at p = +-inf; 0 there instead
+    finite = np.isfinite(p)
+    return (math.sqrt(c) * np.sinc(c * np.where(finite, p, 0.0)) * finite).astype(complex)
 
 
 def square_exact(fam: SquareFamily, x, t: float):
@@ -258,8 +262,8 @@ def square_exact(fam: SquareFamily, x, t: float):
     p = fam.params
     x = np.asarray(x, dtype=float)
     root = math.sqrt(p.mass / np.pi) / math.sqrt(p.hbar) / math.sqrt(t)
-    c_hi, s_hi = fresnel(root * (fam.a / 2 - x))
-    c_lo, s_lo = fresnel(root * (-fam.a / 2 - x))
+    # both edges in one call: one sort and one fixed cost
+    (c_hi, c_lo), (s_hi, s_lo) = fresnel(root * np.subtract.outer([fam.a / 2, -fam.a / 2], x))
     diff = (c_hi - c_lo) + 1j * (s_hi - s_lo)
     return diff / np.sqrt(2j * fam.a)
 

@@ -812,10 +812,16 @@ def test_main_half_width_without_a_grid_is_a_config_error(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-def test_a_grid_size_beyond_the_doubles_with_a_half_width_is_a_config_error():
-    # 2 half_width / n cannot convert n to a double
-    with pytest.raises(ConfigError, match="^line 2: grid.half_width: int too large"):
-        parse_config(f"grid.n = {2**1100}\ngrid.half_width = 1")
+def test_a_grid_size_beyond_the_doubles_with_a_half_width_is_a_config_error(tmp_path, capsys):
+    # 2 half_width / n cannot convert n to a double, whether the half-width is
+    # written or the scenario's preset
+    where = {"grid.half_width = 1\n": "line 2: grid.half_width", "": "grid.half_width (preset for custom)"}
+    for line, key in where.items():
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"grid.n = {2**1100}\n{line}output.dir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: int too large to convert to float\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scenario", ["bogus", "", "FIG1"])

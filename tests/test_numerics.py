@@ -275,7 +275,8 @@ def test_fresnel_matches_mpmath_to_1e_15_up_to_a_million():
     assert np.max(np.abs(s - s_ref)) <= 1e-15
 
 
-@pytest.mark.parametrize("edge", [1.6, 6.0, 2.0**54], ids=["series-fraction", "fraction-asymptotic", "one-half"])
+# 6.0 lies inside the fraction, where it is cut 8 levels deep
+@pytest.mark.parametrize("edge", [1.6, 6.0, 2.0**54], ids=["series-fraction", "inside-the-fraction", "one-half"])
 def test_fresnel_is_continuous_across_its_region_edges(edge):
     near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
     u = np.concatenate([near, -near])
@@ -297,7 +298,10 @@ def _erfc_fraction(x: float, depth: int) -> complex:
 
 
 def test_fresnel_continued_fraction_is_cut_where_its_docstring_says_and_deep_enough():
-    x = np.array([np.nextafter(1.6, 2.0), 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, np.nextafter(6.0, 0.0)])
+    x = np.array(
+        [np.nextafter(1.6, 2.0), 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, np.nextafter(6.0, 0.0)]
+        + [6.0, 8.0, 11.0, 20.0, 100.0, 1e3, 1e6, 2.0**54]
+    )
     out = np.empty(x.size, dtype=complex)
     _continued_fraction(x, x * x, out)
     for xi, got in zip(x.tolist(), out.tolist()):
@@ -355,7 +359,8 @@ def test_fresnel_does_not_depend_on_the_order_of_its_arguments():
     order = np.argsort(-u)
     c_sorted, s_sorted = fresnel(u[order])
     assert np.array_equal(c_sorted, c[order]) and np.array_equal(s_sorted, s[order])
-    # the continued fraction takes its x in blocks of 1024
+    # each x of the continued fraction starts at its own depth, whatever the
+    # depths of the others
     u = np.linspace(1.6, 6.0, 2500)
     c, s = fresnel(u)
     for part in np.array_split(np.arange(u.size), 7):

@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.fft
 from conftest import count_transforms
@@ -43,6 +44,7 @@ from freepacket import (
     spread_law_from_state,
     spread_prediction,
     square_exact,
+    square_momentum,
     to_momentum,
 )
 from freepacket.cli import SCENARIOS
@@ -98,6 +100,18 @@ def test_the_csv_renderer_is_loaded_by_the_first_csv_write():
     # process that imports the command line but writes no CSV does not need
     code = "import sys, freepacket.cli; print('freepacket._csvtext' in sys.modules)"
     assert _fresh_interpreter_output(code) == ["False"]
+
+
+@pytest.mark.parametrize("scenario, loaded", [("fig1", "False"), ("fig3", "True")])
+def test_the_fresnel_integrals_are_loaded_by_the_first_square_slice(tmp_path, scenario, loaded):
+    # a process that never evaluates the square packet neither compiles nor
+    # holds them
+    code = (
+        "import sys, freepacket.cli\n"
+        "print(freepacket.cli.main(['--scenario', sys.argv[1], '--out', sys.argv[2]]))\n"
+        "print('freepacket._fresnel' in sys.modules)"
+    )
+    assert _fresh_interpreter_output(code, scenario, str(tmp_path / "out")) == ["0", loaded]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -258,6 +272,7 @@ NONFINITE_SCALARS = {
         lambda v: asymptotic_form(PHI, v, 40.0, PARAMS),
     ),
     "square_exact": ("t", (math.nan,), lambda v: square_exact(SQUARE, X, v)),
+    "square_momentum": ("p", (math.nan,), lambda v: square_momentum(SQUARE, np.array([0.5, v, 3.0]))),
     "Grid.centered": ("half_width", NONFINITE, lambda v: Grid.centered(v, 256)),
     "Grid.centered_offset": ("half_width", NONFINITE, lambda v: Grid.centered_offset(v, 256)),
 }
@@ -281,3 +296,10 @@ INFINITE_TIME_LIMITS = {
 def test_an_infinite_time_keeps_its_zero_limit(call):
     for t in (math.inf, -math.inf):
         assert not call(t).any()
+
+
+def test_the_square_momentum_function_is_zero_at_infinite_momentum():
+    # the sinc's limit, with no warning from sin(inf)
+    p = np.array([-math.inf, 0.5, math.inf])
+    assert np.array_equal(square_momentum(SQUARE, p), [0.0, square_momentum(SQUARE, 0.5), 0.0])
+    assert square_momentum(SQUARE, math.inf) == 0.0
