@@ -23,14 +23,14 @@ is accepted exactly where Grid.centered takes it on `grid.n` points.  Times in
 config files are in natural units: tau for the Gaussian families, m a^2/hbar
 for the square.
 The rescaled scenarios (fig2, fig4) divide by t, so a time of 0 is a config
-error.  A run builds its packet and its grid once (_packet: Grid.centered_offset
-for the square, Grid.centered otherwise) and reads every step off that grid.
-It warns when the grid is narrower than 10 initial spreads or its
-step wider than one; the initial spread behind both warnings and the
-asymptotic bound is exact for every family; for derivative packets it is
-Dx0^2 = (hbar tau / m)(4n - 1)/(4n - 2).  A floating-point overflow, division
-by zero or invalid operation while running is a runtime error (exit 2), and
-so is a grid too large for memory.
+error.  A run builds its packet and its grid once: _packet binds the config to
+one of the packet descriptors of freepacket.packets and picks the grid
+(Grid.centered_offset for the square, Grid.centered otherwise), and every step
+is read off that grid.  It warns when the grid is narrower than 10 initial
+spreads or its step wider than one; the initial spread behind both warnings
+and the asymptotic bound is the descriptor's exact one.  A floating-point
+overflow, division by zero or invalid operation while running is a runtime
+error (exit 2), and so is a grid too large for memory.
 Every slice is computed before any file is written, so a run that exits 2
 while computing creates no output directory and writes no file.  Slice files
 are written in each of `output.formats`; the summary is always CSV.  A run
@@ -82,10 +82,11 @@ from .packets import (
     HERMITE_GAUSS_MAX_ORDER,
     GaussianFamily,
     SquareFamily,
-    derivative_packet,
-    hermite_gauss,
+    _derivative_packet,
+    _hermite_gauss_packet,
+    _Packet,
+    _square_packet,
     sample,
-    square_exact,
 )
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "run_scenario", "main"]
@@ -102,50 +103,28 @@ class ConfigError(ValueError):
     pass
 
 
-class _Packet(NamedTuple):
-    evaluate: Callable  # psi(x, t); looks its closed form up in this module's globals when called
-    spread: float  # the exact initial Dx
-    grid: Grid  # the run's grid: Grid.centered_offset for the square, Grid.centered otherwise
-    finite_dp: bool = True  # False only for the square, whose Dp is infinite
-
-
-def _packet(cfg: ScenarioConfig) -> _Packet:
-    p, n = cfg.params, cfg.family_order
+def _packet(cfg: ScenarioConfig) -> tuple[_Packet, Grid]:
+    """The run's packet and its grid: Grid.centered_offset for the square, Grid.centered otherwise."""
     if cfg.family == "square":
-        fam = SquareFamily(params=p, a=cfg.a)
         grid = Grid.centered_offset(cfg.half_width, cfg.grid_n)
-
-        def evaluate(x, t):
-            if t != 0:
-                return square_exact(fam, x, t)
-            # each t = 0 sample is the height times the root of the fraction
-            # of its cell inside |x| < a/2, so the sampled norm is 1 wherever
-            # the edges fall
-            covered = np.clip((cfg.a / 2 - np.abs(x)) / grid.step + 0.5, 0.0, 1.0)
-            return np.sqrt(covered) / math.sqrt(cfg.a)
-
-        return _Packet(evaluate, cfg.a / math.sqrt(12.0), grid, False)
-    fam = GaussianFamily(params=p, tau=cfg.tau)
-    grid = Grid.centered(cfg.half_width, cfg.grid_n)
-    gamma0 = fam.gamma(0.0)
-    if cfg.family == "derivative":
-        spread = gamma0 * math.sqrt((4 * n - 1) / (4 * n - 2))
-        return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread, grid)
-    n = n or 0  # the gaussian is Hermite-Gauss order 0
-    return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), gamma0 * math.sqrt(n + 0.5), grid)
+        return _square_packet(SquareFamily(params=cfg.params, a=cfg.a), grid.step), grid
+    build = _derivative_packet if cfg.family == "derivative" else _hermite_gauss_packet
+    fam = GaussianFamily(params=cfg.params, tau=cfg.tau)
+    # the gaussian is Hermite-Gauss order 0
+    return build(fam, cfg.family_order or 0), Grid.centered(cfg.half_width, cfg.grid_n)
 
 
-# A summary kind takes (cfg, packet) and returns the summary header and a
-# function of t that gives the slice's field, sampled on packet.grid, and its
+# A summary kind takes (cfg, packet, grid) and returns the summary header and
+# a function of t that gives the slice's field, sampled on the grid, and its
 # summary row.
 
 
-def _closed_form(cfg: ScenarioConfig, packet: _Packet):
+def _closed_form(cfg: ScenarioConfig, packet: _Packet, grid: Grid):
     params = cfg.params
 
     def slice_at(t):
         # ComplexField rejects non-finite samples before any reach a CSV
-        field = sample(packet.evaluate, packet.grid, t)
+        field = sample(packet.evaluate, grid, t)
         if not packet.finite_dp and t != 0:
             # Dp is infinite for the square packet and Dx exists only at the
             # discontinuity instant; report the honest non-values.
@@ -162,9 +141,9 @@ def _closed_form(cfg: ScenarioConfig, packet: _Packet):
     return header, slice_at
 
 
-def _spread_law(cfg: ScenarioConfig, packet: _Packet):
+def _spread_law(cfg: ScenarioConfig, packet: _Packet, grid: Grid):
     params = cfg.params
-    psi0 = sample(packet.evaluate, packet.grid, 0.0)
+    psi0 = sample(packet.evaluate, grid, 0.0)
     law = spread_law_from_state(moments(psi0, params), params, 0.0)
 
     def slice_at(t):
@@ -177,9 +156,9 @@ def _spread_law(cfg: ScenarioConfig, packet: _Packet):
     return ["t", "delta_x", "delta_x_predicted", "rel_gap", "delta_p", "mean_x", "mean_r"], slice_at
 
 
-def _bounds(cfg: ScenarioConfig, packet: _Packet):
+def _bounds(cfg: ScenarioConfig, packet: _Packet, grid: Grid):
     params = cfg.params
-    psi0 = sample(packet.evaluate, packet.grid, 0.0)
+    psi0 = sample(packet.evaluate, grid, 0.0)
     m0 = moments(psi0, params)
     phi0 = to_momentum(psi0, params)
 
@@ -444,9 +423,9 @@ def _write_svg(path: Path, x: np.ndarray, y: np.ndarray, title: str):
         )
 
 
-def _grid_warnings(cfg: ScenarioConfig, packet: _Packet) -> list[str]:
+def _grid_warnings(cfg: ScenarioConfig, packet: _Packet, grid: Grid) -> list[str]:
     """The grid must hold the packet many spreads wide and resolve it."""
-    warnings, spread, step = [], packet.spread, packet.grid.step
+    warnings, spread, step = [], packet.spread, grid.step
     if cfg.half_width < 10.0 * spread:
         warnings.append(
             f"grid.half_width = {cfg.half_width} is below 10 x initial spread "
@@ -471,18 +450,18 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     lets numerical errors propagate, floating-point ones as FloatingPointError
     (the command-line wrapper maps those to exit code 2).
     """
-    packet = _packet(cfg)
-    warnings = _grid_warnings(cfg, packet)
+    packet, grid = _packet(cfg)
+    warnings = _grid_warnings(cfg, packet, grid)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     if warnings and cfg.strict:
         print("strict mode: warnings are fatal", file=sys.stderr)
         return EXIT_STRICT
 
-    header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, packet)
+    header, slice_at = _SCENARIO_TABLE[cfg.scenario].summary(cfg, packet, grid)
     # every slice's table and row are computed before any file is written, so a
     # failed run writes nothing
-    x = packet.grid.points
+    x = grid.points
     tables, rows = [], []
     for t in cfg.times:
         field, row = slice_at(t)

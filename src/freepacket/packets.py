@@ -25,6 +25,13 @@ any resting solution into a moving one.
 All families are normalized to unit L2 norm at every time, and all complex
 square roots take the principal branch, which keeps t = 0 values
 real-positive where expected.
+
+What a run needs to know of a family is held here too, in one private
+descriptor per packet (_Packet, from _hermite_gauss_packet, _derivative_packet
+or _square_packet): its closed form, its exact initial spread Dx(0), whether
+its Dp is finite, and for the Gaussian families the reach in position and in
+momentum that c scale lengths of Gaussian tail beyond the Hermite turning
+point give.  The square's descriptor samples t = 0 by cell coverage.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,17 +157,21 @@ def hermite_gauss(fam: GaussianFamily, n: int, x, t: float):
     g = fam.gamma(t)
     u = x / g
     seed = u * u
-    phase = seed * (0.5 * t / fam.tau)
-    phase -= (n + 0.5) * fam.beta(t)
+    if t == 0:  # the phase is the constant (n + 1/2) pi / 2: one cos and sin for every point
+        phase = -((n + 0.5) * fam.beta(t))
+    else:
+        phase = seed * (0.5 * t / fam.tau)
+        phase -= (n + 0.5) * fam.beta(t)
     seed *= -0.5
     values = _hermite_functions(n, u, np.pi**-0.25 / math.sqrt(g) * np.exp(seed))
     # u and u^2 go before exp(i phase) is allocated, so orders 0 and 1
     # (gaussian_chi is order 0) peak at four and five position-sized arrays,
     # not six; from order 2 on the recurrence's temporaries set the peak
     del u, seed
-    psi = _cis(phase)
-    psi.real *= values
-    psi.imag *= values
+    rotation = _cis(phase)
+    psi = rotation if rotation.shape == values.shape else np.empty(values.shape, dtype=complex)
+    np.multiply(rotation.real, values, out=psi.real)
+    np.multiply(rotation.imag, values, out=psi.imag)
     return psi[()]
 
 
@@ -228,14 +239,16 @@ def square_momentum(fam: SquareFamily, p):
     """Momentum wave function of the square packet: sqrt(a/2 pi hbar) sinc(a p / 2 hbar).
 
     With c = a / hbar / (2 pi) this is sqrt(c) np.sinc(c p), so no product
-    of hbar is formed.  At p = +-inf it is the sinc's limit, 0; a nan p is
-    refused.
+    of hbar is formed.  Where pi c p is not a finite double (p = +-inf among
+    them) it is 0, the sinc's value to double precision; a nan p is refused.
     """
     p = np.asarray(p, dtype=float)
     _require(not np.isnan(p).any(), "p", "a number", math.nan)
     c = fam.a / fam.params.hbar / (2 * np.pi)
-    # np.sinc takes sin(pi c p), which is nan at p = +-inf; 0 there instead
-    finite = np.isfinite(p)
+    # np.sinc takes sin(pi c p), which overflows or is nan where pi c p is
+    # not a finite double (p = +-inf among them); |sinc| < 6e-309 there, so 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.pi * (c * p))
     return (math.sqrt(c) * np.sinc(c * np.where(finite, p, 0.0)) * finite).astype(complex)
 
 
@@ -296,3 +309,56 @@ def galilean_boost(
 def sample(packet: Callable[[np.ndarray, float], np.ndarray], grid, t: float) -> ComplexField:
     """Evaluate a time-indexed packet on a grid at time t as a ComplexField."""
     return ComplexField(np.asarray(packet(grid.points, t), dtype=complex), grid)
+
+
+class _Packet(NamedTuple):
+    """What a run needs to know of one packet, from the builders below.
+
+    `evaluate(x, t)` looks its closed form up in this module when it is
+    called, so a tracer that replaces the name here sees every call.  A
+    Gaussian-family packet of order n lies, but for c scale lengths of
+    Gaussian tail beyond chi_n's Hermite turning point, within reach(t, c) =
+    (sqrt(2n + 1) + c) gamma(t) of its centre, and its momenta within
+    momentum_reach(c) = (sqrt(2n + 1) + c) hbar / gamma0.  A derivative packet
+    of order n is a sum of chi_k with k <= n, so it takes chi_n's reach.  The
+    square has no reach: its tails fall off as powers, and its family no
+    gamma(t).
+    """
+
+    evaluate: Callable[[np.ndarray, float], np.ndarray]  # psi(x, t)
+    spread: float  # the exact initial Dx
+    fam: GaussianFamily | SquareFamily
+    order: int = 0
+    finite_dp: bool = True  # False only for the square, whose Dp is infinite
+
+    def reach(self, t: float, c: float) -> float:
+        return (math.sqrt(2 * self.order + 1) + c) * self.fam.gamma(t)
+
+    def momentum_reach(self, c: float) -> float:
+        return (math.sqrt(2 * self.order + 1) + c) * self.fam.params.hbar / self.fam.gamma(0.0)
+
+
+def _hermite_gauss_packet(fam: GaussianFamily, n: int) -> _Packet:
+    """chi_n; the free Gaussian is order 0."""
+    return _Packet(lambda x, t: hermite_gauss(fam, n, x, t), fam.gamma(0.0) * math.sqrt(n + 0.5), fam, n)
+
+
+def _derivative_packet(fam: GaussianFamily, n: int) -> _Packet:
+    """The n-th derivative packet, Dx0^2 = gamma0^2 (4n - 1) / (4n - 2)."""
+    spread = fam.gamma(0.0) * math.sqrt((4 * n - 1) / (4 * n - 2))
+    return _Packet(lambda x, t: derivative_packet(fam, n, x, t), spread, fam, n)
+
+
+def _square_packet(fam: SquareFamily, step: float) -> _Packet:
+    """The square, sampled at t = 0 on cells of width `step`."""
+
+    def evaluate(x, t):
+        if t != 0:
+            return square_exact(fam, x, t)
+        # each t = 0 sample is the height times the root of the fraction of
+        # its cell inside |x| < a/2, so the sampled norm is 1 wherever the
+        # edges fall
+        covered = np.clip((fam.a / 2 - np.abs(x)) / step + 0.5, 0.0, 1.0)
+        return np.sqrt(covered) / math.sqrt(fam.a)
+
+    return _Packet(evaluate, fam.a / math.sqrt(12.0), fam, finite_dp=False)

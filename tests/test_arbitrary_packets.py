@@ -48,10 +48,9 @@ from freepacket import (
     short_time_error_bound,
     spread_law_from_state,
     spread_prediction,
-    square_exact,
     to_momentum,
 )
-from freepacket.packets import DERIVATIVE_MAX_ORDER
+from freepacket.packets import DERIVATIVE_MAX_ORDER, _derivative_packet, _hermite_gauss_packet, _square_packet
 
 from conftest import rel_l2_values
 
@@ -122,11 +121,12 @@ def _check_facts(psi0, exact_at):
 def _reach_grid(order: int, p: float, t0: float) -> Grid:
     """The smallest power-of-two grid whose positions hold a packet of the
     given order and boost at every instant from t0 to t0 + 3 tau, and whose
-    momentum lattice holds its momenta, by the benchmark's reach rule."""
-    width = math.sqrt(2 * order + 1) + REACH_C
+    momentum lattice holds its momenta, by the benchmark's reach rule (a
+    derivative packet takes the reach of chi_n)."""
+    packet = _hermite_gauss_packet(FAM, order)
     # both terms are convex in t, so the largest reach is at an end
-    half_width = max(abs(p * t) + width * FAM.gamma(t) for t in (t0, t0 + TIMES[-1]))
-    p_reach = abs(p) + width * PARAMS.hbar / FAM.gamma(0.0)
+    half_width = max(abs(p * t) + packet.reach(t, REACH_C) for t in (t0, t0 + TIMES[-1]))
+    p_reach = abs(p) + packet.momentum_reach(REACH_C)
     n = 8
     while math.pi * PARAMS.hbar * n / (2 * half_width) < p_reach:
         n *= 2
@@ -144,13 +144,12 @@ def test_facts_hold_for_boosted_superpositions_and_derivative_packets(packet):
 @given(shift=st.floats(-2.0, 2.0))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_facts_hold_for_a_translated_square_at_its_real_instant(shift):
-    # each sample is the height times the root of the fraction of its cell
-    # inside the square, so the sampled norm is 1 wherever the edges fall
+    # sampled by cell coverage, so the sampled norm is 1 wherever the edges fall
     grid = Grid.centered(8.0, 1024)
-    covered = np.clip((SQUARE.a / 2 - np.abs(grid.points - shift)) / grid.step + 0.5, 0.0, 1.0)
-    psi0 = ComplexField(np.sqrt(covered) / math.sqrt(SQUARE.a), grid)
+    square = _square_packet(SQUARE, grid.step)
+    psi0 = ComplexField(square.evaluate(grid.points - shift, 0.0), grid)
     assert moments(psi0, PARAMS).delta_p == math.inf
-    _check_facts(psi0, lambda t: square_exact(SQUARE, grid.points - shift, t))
+    _check_facts(psi0, lambda t: square.evaluate(grid.points - shift, t))
 
 
 @pytest.mark.xfail(
@@ -174,25 +173,22 @@ def quadrature_draws(draw):
     holds the packet at 0 and t with room to spare and whose step meets the
     README's sampling rule for the quadrature, with points to spare."""
     if draw(st.booleans()):
-        order = draw(st.integers(0, 8))
-        resting = lambda x, t: hermite_gauss(FAM, order, x, t)  # noqa: E731
+        packet = _hermite_gauss_packet(FAM, draw(st.integers(0, 8)))
     else:
-        order = draw(st.integers(0, DERIVATIVE_MAX_ORDER))
-        resting = lambda x, t: derivative_packet(FAM, order, x, t)  # noqa: E731
+        packet = _derivative_packet(FAM, draw(st.integers(0, DERIVATIVE_MAX_ORDER)))
     p = draw(st.floats(-2.0, 2.0))
     t = draw(st.floats(0.2, 5.0)) * draw(st.sampled_from((1.0, -1.0)))
-    width = math.sqrt(2 * order + 1) + REACH_C
-    half_width = draw(st.floats(1.0, 1.5)) * max(abs(p * s) + width * FAM.gamma(s) for s in (0.0, t))
+    half_width = draw(st.floats(1.0, 1.5)) * max(abs(p * s) + packet.reach(s, REACH_C) for s in (0.0, t))
     # the kernel's local momentum m |x - x'| / |t| for every row x, plus the
     # packet's own, must stay below the lattice's Nyquist momentum
     # (Oracle._spec in bench/workloads.py)
-    kernel_p = PARAMS.mass * (half_width + width * FAM.gamma(0.0)) / abs(t)
-    p_reach = abs(p) + width * PARAMS.hbar / FAM.gamma(0.0)
+    kernel_p = PARAMS.mass * (half_width + packet.reach(0.0, REACH_C)) / abs(t)
+    p_reach = abs(p) + packet.momentum_reach(REACH_C)
     n = 8
     while math.pi * PARAMS.hbar * n / (2 * half_width) < kernel_p + p_reach:
         n *= 2
     grid = Grid.centered(half_width, n * 2 ** draw(st.integers(0, 1)))
-    return galilean_boost(resting, p, 0.0, PARAMS), grid, t
+    return galilean_boost(packet.evaluate, p, 0.0, PARAMS), grid, t
 
 
 @given(draw=quadrature_draws())

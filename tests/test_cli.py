@@ -45,7 +45,7 @@ from freepacket.cli import (
 
 def _warnings_of(cfg):
     """The grid warnings of a run of cfg, on the packet and grid it builds."""
-    return _grid_warnings(cfg, _packet(cfg))
+    return _grid_warnings(cfg, *_packet(cfg))
 
 
 def read_csv(path):
@@ -660,7 +660,7 @@ def test_gaussian_family_writes_the_bytes_of_hermite_gauss_order_zero(tmp_path):
 def test_derivative_spread_survives_an_overflowing_mass_product():
     # (4n - 2) m overflows at this mass, and the spread once read 0
     cfg = parse_config("family = derivative\nphysics.mass = 1e308")
-    assert _packet(cfg).spread == pytest.approx(math.sqrt(7 / 6) * 1e-154, rel=1e-14)
+    assert _packet(cfg)[0].spread == pytest.approx(math.sqrt(7 / 6) * 1e-154, rel=1e-14)
 
 
 # each family with the orders it takes on the default grid
@@ -675,8 +675,8 @@ _FAMILY_CONFIGS = [
 @pytest.mark.parametrize("config", _FAMILY_CONFIGS)
 def test_packet_facts_match_the_sampled_packet(config):
     cfg = parse_config(config)
-    packet = _packet(cfg)
-    m = moments(sample(packet.evaluate, packet.grid, 0.0), cfg.params)
+    packet, grid = _packet(cfg)
+    m = moments(sample(packet.evaluate, grid, 0.0), cfg.params)
     assert packet.finite_dp == math.isfinite(m.delta_p)
     assert packet.finite_dp == (cfg.family != "square")
     if packet.finite_dp:
@@ -684,7 +684,7 @@ def test_packet_facts_match_the_sampled_packet(config):
 
 
 def test_every_closed_form_is_looked_up_when_called(tmp_path, monkeypatch):
-    # a tracer counts packet evaluations by replacing these names in freepacket.cli
+    # a tracer counts packet evaluations by replacing these names in freepacket.packets
     calls = dict.fromkeys(["hermite_gauss", "derivative_packet", "square_exact"], 0)
 
     def counting(name, function):
@@ -695,7 +695,7 @@ def test_every_closed_form_is_looked_up_when_called(tmp_path, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(freepacket.cli, name, counting(name, getattr(freepacket.cli, name)))
+        monkeypatch.setattr(freepacket.packets, name, counting(name, getattr(freepacket.packets, name)))
     for family in FAMILIES:
         cfg = parse_config(f"family = {family}\ngrid.n = 1024\noutput.dir = {tmp_path / family}")
         assert run_scenario(cfg) == EXIT_OK

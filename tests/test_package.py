@@ -303,3 +303,7 @@ def test_the_square_momentum_function_is_zero_at_infinite_momentum():
     p = np.array([-math.inf, 0.5, math.inf])
     assert np.array_equal(square_momentum(SQUARE, p), [0.0, square_momentum(SQUARE, 0.5), 0.0])
     assert square_momentum(SQUARE, math.inf) == 0.0
+    # and where pi c p passes the largest double, though c p (c = a / 2 pi hbar,
+    # about 159 here) need not: |sinc| < 6e-309 there
+    wide = SquareFamily(params=PhysicsParams(hbar=1.0, mass=1.0), a=1e3)
+    assert not square_momentum(wide, np.array([1e306, -1e307, 1e308])).any()

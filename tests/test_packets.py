@@ -29,6 +29,7 @@ from freepacket import (
     square_momentum,
     to_momentum,
 )
+from freepacket.packets import DERIVATIVE_MAX_ORDER, _derivative_packet, _hermite_gauss_packet
 
 from conftest import SCALE_CASES
 
@@ -538,3 +539,30 @@ def test_families_reject_nonpositive_or_nonfinite_scales(params, value):
         GaussianFamily(params, tau=value)
     with pytest.raises(ValueError, match="a must be positive and finite"):
         SquareFamily(params, a=value)
+
+
+# ------------------------------------------------------------------ reach
+
+_REACH_CASES = {
+    **{f"hermite-gauss-{n}": (_hermite_gauss_packet, n) for n in range(21)},
+    **{f"derivative-{n}": (_derivative_packet, n) for n in range(DERIVATIVE_MAX_ORDER + 1)},
+}
+
+
+@pytest.mark.parametrize("build, n", _REACH_CASES.values(), ids=_REACH_CASES.keys())
+def test_the_reach_leaves_a_negligible_tail(build, n):
+    # c = 7 leaves at most 1.1e-29 of the probability beyond reach(t, 7) and
+    # 2.1e-29 beyond momentum_reach(7) on these grids, whose 1.5 reaches
+    # leave less than 1e-60 outside them; gamma0 and hbar / gamma0 are not 1
+    params = PhysicsParams(hbar=0.7, mass=1.3)
+    fam = GaussianFamily(params=params, tau=0.5)
+    packet = build(fam, n)
+    for t in (0.0, 0.01, 0.3, 1.0, 3.0, -2.0, 5.0):
+        reach = packet.reach(t * fam.tau, 7)
+        grid = Grid.centered(1.5 * reach, 8192)
+        density = np.abs(packet.evaluate(grid.points, t * fam.tau)) ** 2
+        assert np.sum(density[np.abs(grid.points) > reach]) * grid.step < 1e-25, t
+    grid = Grid.centered(1.5 * packet.reach(0.0, 7), 8192)
+    p = grid.momentum_points(params.hbar)
+    density = np.abs(to_momentum(sample(packet.evaluate, grid, 0.0), params).values) ** 2
+    assert np.sum(density[np.abs(p) > packet.momentum_reach(7)]) * grid.momentum_step(params.hbar) < 1e-25
